@@ -53,6 +53,7 @@ AdjacencyProvider::Fetch CachedAdjacencyProvider::GetAdjacency(VertexId v) {
   fetch.bytes = reply.outcome == DbCache::Outcome::kMiss
                     ? reply.value.wire_bytes
                     : 0;
+  fetch.retained = reply.retained;
   if (reply.value.is_encoded()) {
     // Hand the encoded payload through untouched: the executor's fused
     // kernels intersect it without a decode, or SlotView materializes
@@ -324,6 +325,21 @@ Status PlanExecutor::Compile() {
       }
     }
   }
+  // DBQ memo analysis. Matching is injective, so within one task the INI
+  // vertex is queried exactly once and no other DBQ ever queries it: its
+  // DBQ can neither hit the memo nor be hit from it. The same holds for
+  // the first ENU's vertex in seeded tasks, which bind it once.
+  int init_f = -1;
+  int first_enum_f = -1;
+  for (const Compiled& c : code_) {
+    if (c.type == InstrType::kInit) init_f = c.target_f;
+    if (c.first_enum) first_enum_f = c.target_f;
+  }
+  for (Compiled& c : code_) {
+    if (c.type != InstrType::kDbQuery) continue;
+    c.memoize = c.source_f != init_f;
+    c.source_is_first_enum = c.source_f == first_enum_f;
+  }
   report_sets_.reserve(n);
   return Status::OK();
 }
@@ -466,28 +482,12 @@ void PlanExecutor::Exec(size_t pc) {
         }
         f_[static_cast<size_t>(ins.target_f)] = task_->start;
         break;
-      case InstrType::kDbQuery: {
-        AdjacencyProvider::Fetch fetch = provider_->GetAdjacency(
-            f_[static_cast<size_t>(ins.source_f)]);
-        ++stats_.adjacency_requests;
-        if (fetch.cache_hit) {
-          ++stats_.cache_hits;
-        } else if (fetch.coalesced) {
-          ++stats_.coalesced_fetches;
-        } else {
-          ++stats_.db_queries;
-          stats_.bytes_fetched += fetch.bytes;
-        }
-        SetSlot& slot = slots_[static_cast<size_t>(ins.target_set_slot)];
-        // fetch.view stays valid across the move: it points into the
-        // shared payload (owned path) or provider storage (zero-copy).
-        // An encoded fetch leaves `view` empty until SlotView (or a
-        // fused kernel consuming `encoded` directly) needs it.
-        slot.shared = std::move(fetch.set);
-        slot.encoded = std::move(fetch.encoded);
-        slot.view = fetch.view;
+      case InstrType::kDbQuery:
+        ExecDbQuery(f_[static_cast<size_t>(ins.source_f)],
+                    ins.memoize && !(ins.source_is_first_enum &&
+                                     task_->seed_second != kInvalidVertex),
+                    &slots_[static_cast<size_t>(ins.target_set_slot)]);
         break;
-      }
       case InstrType::kIntersect:
         ExecIntersect(ins);
         if (SlotView(ins.target_set_slot).empty()) return;  // backtrack
@@ -581,6 +581,67 @@ void PlanExecutor::Exec(size_t pc) {
     }
     ++pc;
   }
+}
+
+void PlanExecutor::ExecDbQuery(VertexId v, bool memoize, SetSlot* slot) {
+  ++stats_.adjacency_requests;
+  MemoEntry* memo =
+      !memoize || memo_.empty() ? nullptr : &memo_[MemoIndex(v)];
+  // A memo entry is served only while the cache has evicted nothing since
+  // it was fetched: the entry is then still resident, so this is exactly
+  // a lookup that would have hit, and cache capacity keeps deciding hits.
+  if (memo != nullptr && memo->key == v &&
+      memo->evictions == provider_->Evictions()) {
+    ++stats_.cache_hits;
+    ++memo_hits_;
+    slot->shared = memo->set;
+    slot->encoded.reset();
+    slot->view = VertexSetView(*slot->shared);
+    return;
+  }
+  AdjacencyProvider::Fetch fetch = provider_->GetAdjacency(v);
+  if (fetch.cache_hit) {
+    ++stats_.cache_hits;
+  } else if (fetch.coalesced) {
+    ++stats_.coalesced_fetches;
+  } else {
+    ++stats_.db_queries;
+    stats_.bytes_fetched += fetch.bytes;
+  }
+  if (memoize && fetch.retained && fetch.set != nullptr) {
+    if (memo == nullptr) {
+      memo_.resize(size_t{1} << kMemoBits);
+      memo = &memo_[MemoIndex(v)];
+    }
+    if (memo->key == kInvalidVertex) {
+      memo_filled_.push_back(static_cast<uint32_t>(memo - memo_.data()));
+    }
+    memo->key = v;
+    memo->evictions = provider_->Evictions();
+    memo->set = fetch.set;
+  }
+  // fetch.view stays valid across the move: it points into the shared
+  // payload (owned path) or provider storage (zero-copy). An encoded
+  // fetch leaves `view` empty until SlotView (or a fused kernel
+  // consuming `encoded` directly) needs it.
+  slot->shared = std::move(fetch.set);
+  slot->encoded = std::move(fetch.encoded);
+  slot->view = fetch.view;
+}
+
+void PlanExecutor::ReleaseTaskState() {
+  for (uint32_t i : memo_filled_) {
+    memo_[i].key = kInvalidVertex;
+    memo_[i].set.reset();
+  }
+  memo_filled_.clear();
+  for (SetSlot& slot : slots_) {
+    slot.shared.reset();
+    slot.encoded.reset();
+    slot.view = VertexSetView();
+  }
+  if (memo_hits_ != 0) provider_->CreditHits(memo_hits_);
+  memo_hits_ = 0;
 }
 
 void PlanExecutor::DescendRange(const Compiled& ins,
@@ -682,6 +743,7 @@ TaskStats PlanExecutor::RunTask(const SearchTask& task,
     Exec(0);
   }
   if (trace_.timed) TraceSwitch(-1);  // charge the tail interval
+  ReleaseTaskState();
   task_ = nullptr;
   consumer_ = nullptr;
   stats_.wall_seconds = watch.ElapsedSeconds();

@@ -63,8 +63,9 @@ class AdjacencyProvider {
     /// `view` aliases storage owned by the provider's graph.
     std::shared_ptr<const VertexSet> set;
     /// Delta+varint-encoded payload, delivered when the provider sits on
-    /// a compressed transport. When non-null, `set` is null and `view`
-    /// is empty: the executor either fuses the encoded form into its
+    /// a compressed transport and its cache holds the entry encoded (or
+    /// retains nothing). When non-null, `set` is null and `view` is
+    /// empty: the executor either fuses the encoded form into its
     /// intersect kernels or decodes it on first plain-view use.
     std::shared_ptr<const codec::EncodedSet> encoded;
     /// The adjacency set itself; valid iff `encoded` is null. Points
@@ -72,6 +73,9 @@ class AdjacencyProvider {
     /// storage that outlives the executor.
     VertexSetView view;
     bool cache_hit = false;
+    /// `set` is resident in the provider's cache, so a repeat lookup in
+    /// this task would hit: the executor may memoize it until task end.
+    bool retained = false;
     /// Miss served by piggybacking on another thread's in-flight store
     /// query (single-flight coalescing): the caller waited one round
     /// trip but issued no query of its own.
@@ -87,6 +91,12 @@ class AdjacencyProvider {
   /// vertex feeds a downstream DBQ, so level-i enumeration overlaps the
   /// level-(i+1) fetch latency.
   virtual void Prefetch(const VertexId* /*keys*/, size_t /*count*/) {}
+  /// Counts `n` lookups the executor served from its per-task memo of
+  /// `retained` fetches as cache hits, once per task.
+  virtual void CreditHits(Count /*n*/) {}
+  /// Entries the provider's cache has dropped so far; a `retained` set
+  /// stays resident while this is unchanged.
+  virtual uint64_t Evictions() const { return 0; }
   /// Number of data vertices (for the V(G) pseudo-operand and task
   /// generation).
   virtual size_t NumVertices() const = 0;
@@ -125,6 +135,8 @@ class CachedAdjacencyProvider : public AdjacencyProvider {
 
   Fetch GetAdjacency(VertexId v) override;
   void Prefetch(const VertexId* keys, size_t count) override;
+  void CreditHits(Count n) override { cache_->CreditHits(n); }
+  uint64_t Evictions() const override { return cache_->evictions(); }
   size_t NumVertices() const override { return num_vertices_; }
 
  private:
@@ -176,6 +188,15 @@ struct TaskStats {
 /// framework's inner loop (Algorithm 2 line 8). One executor instance is
 /// owned by one working thread; it keeps per-instruction scratch buffers
 /// that are reused across tasks.
+///
+/// DBQ memo: within one task the executor remembers, in a small
+/// direct-mapped table, the decoded sets the provider returned as
+/// retained, and serves repeat DBQs of the same vertex from it without a
+/// provider call as long as the provider's cache has evicted nothing
+/// since, i.e. exactly the lookups that would have hit. Memo hits count
+/// as cache hits in TaskStats and are credited to the provider once per
+/// task. The memo (and every set register) is released at task end, so
+/// nothing is pinned across tasks.
 class PlanExecutor {
  public:
   /// Validates and compiles `plan`. All pointers must outlive the
@@ -240,6 +261,11 @@ class PlanExecutor {
     // prefetching the candidate set before descending (computed by
     // Compile's ENU→DBQ consumption analysis).
     bool prefetch_hint = false;
+    // DBQ whose source can repeat within a task (see Compile), so the
+    // per-task memo is worth consulting: every DBQ but the one of the
+    // INI vertex; in seeded tasks also not the first ENU's vertex.
+    bool memoize = false;
+    bool source_is_first_enum = false;
     // Degree filter compiled to an id lower bound (ids realize ≺).
     VertexId min_candidate_id = 0;
     int required_label = -1;
@@ -287,6 +313,26 @@ class PlanExecutor {
     if (slot < 0) return nullptr;
     const SetSlot& s = slots_[static_cast<size_t>(slot)];
     return s.shared == nullptr ? s.encoded.get() : nullptr;
+  }
+  /// DBQ body: Γ(v) into `slot`, from the memo when `memoize` and
+  /// present there.
+  void ExecDbQuery(VertexId v, bool memoize, SetSlot* slot);
+  /// Drops this task's memo entries and set registers, O(entries the task
+  /// inserted + registers), and credits the memo hits to the provider.
+  void ReleaseTaskState();
+
+
+  // Per-task DBQ memo, direct-mapped on a multiplicative hash of the
+  // vertex. Allocated on first insert, so zero-copy providers (which
+  // never return retained sets) cost one size check per DBQ.
+  static constexpr unsigned kMemoBits = 8;
+  struct MemoEntry {
+    VertexId key = kInvalidVertex;
+    uint64_t evictions = 0;  ///< provider Evictions() right after the fetch
+    std::shared_ptr<const VertexSet> set;
+  };
+  static size_t MemoIndex(VertexId v) {
+    return static_cast<uint32_t>(v * 2654435769u) >> (32 - kMemoBits);
   }
 
   // -------------------------------------------------------------------
@@ -340,6 +386,9 @@ class PlanExecutor {
   TaskStats stats_;
   std::vector<VertexId> report_f_;          // reused RES buffer
   std::vector<VertexSetView> report_sets_;  // reused RES buffer
+  std::vector<MemoEntry> memo_;
+  std::vector<uint32_t> memo_filled_;  // memo_ indices filled this task
+  Count memo_hits_ = 0;                // this task's memo hits
 
   InstrTrace trace_;
   metrics::Histogram* task_span_us_ = nullptr;  // per-task wall µs (traced)

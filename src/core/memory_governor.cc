@@ -87,7 +87,7 @@ size_t MemoryGovernor::GrantFrontierLease(size_t want_bytes) {
   // (an executor takes at most a quarter of the usable headroom per
   // lease — the next batch re-asks under the then-current pressure).
   const uint64_t pinned = pinned_bytes();
-  const uint64_t floor = budget_bytes_ - budget_bytes_ / 8;
+  const uint64_t floor = GuardFloor();
   const uint64_t usable = pinned < floor ? floor - pinned : 0;
   const size_t grant =
       static_cast<size_t>(std::min<uint64_t>(want_bytes, usable / 4));
@@ -99,6 +99,11 @@ size_t MemoryGovernor::GrantFrontierLease(size_t want_bytes) {
   lease_grants_.fetch_add(1, std::memory_order_relaxed);
   grants_counter_->Add(1);
   return grant;
+}
+
+bool MemoryGovernor::HasHeadroomFor(size_t bytes) const {
+  if (budget_bytes_ == 0) return true;
+  return pinned_bytes() + bytes <= GuardFloor();
 }
 
 double MemoryGovernor::Headroom() const {

@@ -80,6 +80,12 @@ class MemoryGovernor {
   /// AddFrontierPinned; a grant reserves nothing.
   size_t GrantFrontierLease(size_t want_bytes);
 
+  /// True iff `bytes` more could be pinned without entering the guard
+  /// band (the top 1/8 of the budget leases never take); always true
+  /// without a ceiling. The DB cache asks this before storing an entry
+  /// decoded (4 B/entry) instead of encoded.
+  bool HasHeadroomFor(size_t bytes) const;
+
   /// Dynamic per-ENU prefetch budget, in keys: the static base scaled by
   /// current headroom up to kMaxPrefetchWidening×. 0 iff the base is 0
   /// (prefetching disabled stays disabled).
@@ -101,6 +107,8 @@ class MemoryGovernor {
  private:
   /// Fraction of the budget still unpinned, in [0, 1]; 1 with no ceiling.
   double Headroom() const;
+  /// Pinned-byte level above which the guard band starts.
+  uint64_t GuardFloor() const { return budget_bytes_ - budget_bytes_ / 8; }
   /// Refreshes the pinned/high-water gauges after a delta.
   void NotePinned();
 

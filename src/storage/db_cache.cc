@@ -43,6 +43,10 @@ DbCache::DbCache(const DistributedKvStore* store, size_t capacity_bytes,
   metrics_.epoch_invalidations = registry.GetCounter(
       "db_cache.epoch_invalidations", "1",
       "entries evicted by AdvanceEpoch's precise invalidation");
+  metrics_.encoded_inserts = registry.GetCounter(
+      "db_cache.encoded_inserts", "1",
+      "retained entries stored encoded: the decoded form did not fit the "
+      "shard's free capacity or the governor's headroom");
   metrics_.prefetch_round_trips = registry.GetCounter(
       "db_cache.prefetch_round_trips", "1",
       "round trips of batched background fetches (1/partition/batch)");
@@ -51,8 +55,9 @@ DbCache::DbCache(const DistributedKvStore* store, size_t capacity_bytes,
       "payload bytes fetched by the prefetch pipeline");
   metrics_.resident_bytes = registry.GetGauge(
       "db_cache.resident_bytes", "bytes",
-      "currently cached resident bytes (encoded size for compressed "
-      "entries, plus per-entry overhead) across all caches");
+      "currently cached resident bytes (4 B/entry for decoded entries, "
+      "encoded size for encoded ones, plus per-entry overhead) across all "
+      "caches");
   metrics_.sync_fetch_us = registry.GetHistogram(
       "db_cache.sync_fetch.us", "us",
       "latency of synchronous primary-miss store queries (traced)");
@@ -90,7 +95,9 @@ DbCache::~DbCache() {
   }
 }
 
-DbCache::Reply DbCache::Get(VertexId v) {
+DbCache::Reply DbCache::Get(VertexId v) { return Lookup(v, /*counted=*/true); }
+
+DbCache::Reply DbCache::Lookup(VertexId v, bool counted) {
   Shard& shard = ShardFor(v);
   std::shared_ptr<Flight> flight;
   bool primary = false;
@@ -98,8 +105,10 @@ DbCache::Reply DbCache::Get(VertexId v) {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.index.find(v);
     if (it != shard.index.end()) {
-      ++shard.hits;
-      metrics_.hits->Add(1);
+      if (counted) {
+        ++shard.hits;
+        metrics_.hits->Add(1);
+      }
       if (it->second->prefetched) {
         // First touch of a prefetched entry: the pipeline converted a
         // would-be stall into a hit.
@@ -109,7 +118,7 @@ DbCache::Reply DbCache::Get(VertexId v) {
       }
       // Move to the front of the LRU list.
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      return Reply{it->second->value, Outcome::kHit};
+      return Reply{it->second->value, Outcome::kHit, /*retained=*/true};
     }
     auto fit = shard.inflight.find(v);
     if (fit != shard.inflight.end()) {
@@ -119,20 +128,24 @@ DbCache::Reply DbCache::Get(VertexId v) {
         // The key sits in the prefetch queue but no fetcher has picked
         // it up: claim the flight and fetch synchronously. The stale
         // queue entry is skipped when a fetcher eventually pops it.
-        ++shard.misses;
+        if (counted) {
+          ++shard.misses;
+          metrics_.misses->Add(1);
+        }
         ++shard.prefetch_claimed;
-        metrics_.misses->Add(1);
         metrics_.prefetch_claimed->Add(1);
         primary = true;
-      } else {
+      } else if (counted) {
         // Another thread (Get primary or fetcher) is already fetching v:
         // piggyback on its query.
         ++shard.coalesced;
         metrics_.coalesced->Add(1);
       }
     } else {
-      ++shard.misses;
-      metrics_.misses->Add(1);
+      if (counted) {
+        ++shard.misses;
+        metrics_.misses->Add(1);
+      }
       flight = std::make_shared<Flight>();
       flight->epoch.store(epoch_.load(std::memory_order_acquire),
                           std::memory_order_relaxed);
@@ -151,8 +164,12 @@ DbCache::Reply DbCache::Get(VertexId v) {
         epoch_.load(std::memory_order_acquire)) {
       // The flight we waited on was fetched under a superseded epoch:
       // its value belongs to the previous snapshot (and was not
-      // retained). Retry under the current epoch.
-      return Get(v);
+      // retained). Retry under the current epoch; this lookup is already
+      // counted, so the retry is not, and it still reports coalesced.
+      Reply retry = Lookup(v, /*counted=*/false);
+      retry.outcome = Outcome::kCoalesced;
+      retry.retained = false;
+      return retry;
     }
     return Reply{flight->value, Outcome::kCoalesced};
   }
@@ -173,28 +190,53 @@ DbCache::Reply DbCache::Get(VertexId v) {
     // the current epoch's adjacency.
     flight->epoch.store(now, std::memory_order_release);
   }
-  Reply reply{value, Outcome::kMiss};
-  InsertAndPublish(v, std::move(value), flight, /*prefetched=*/false);
-  return reply;
+  const bool retained =
+      InsertAndPublish(v, &value, flight, /*prefetched=*/false);
+  return Reply{std::move(value), Outcome::kMiss, retained};
 }
 
-void DbCache::InsertAndPublish(VertexId v, AdjacencyPayload value,
+bool DbCache::InsertAndPublish(VertexId v, AdjacencyPayload* value,
                                const std::shared_ptr<Flight>& flight,
                                bool prefetched) {
   Shard& shard = ShardFor(v);
-  const size_t bytes = EntryBytes(value);
+  const size_t shard_capacity = ShardCapacity();
   // Fetched under a superseded epoch? Publish to waiters (they re-check
   // the tag and retry) but never retain — a stale adjacency set must not
   // surface as a hit in the new snapshot.
   const bool stale = flight->epoch.load(std::memory_order_acquire) !=
                      epoch_.load(std::memory_order_acquire);
+  // Decode on insert: an encoded payload is decoded once, outside the
+  // shard lock, when its raw charge fits the shard's free capacity and
+  // the governor's headroom. The insert below re-checks the fit and
+  // keeps the encoded form if a racing insert took the room meanwhile.
+  AdjacencyPayload encoded;
+  if (!stale && value->is_encoded() && shard_capacity != 0) {
+    const size_t raw_bytes = value->size() * sizeof(VertexId) +
+                             kEntryOverheadBytes;
+    bool room;
+    {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      room = shard.bytes + raw_bytes <= shard_capacity;
+    }
+    if (room &&
+        (governor_ == nullptr || governor_->HasHeadroomFor(raw_bytes))) {
+      encoded = std::move(*value);
+      *value = AdjacencyPayload{encoded.Materialize(), nullptr,
+                                encoded.wire_bytes};
+    }
+  }
+  bool retained = false;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.inflight.erase(v);
-    const size_t shard_capacity =
-        capacity_bytes_ == 0 ? 0 : capacity_bytes_ / shards_.size();
+    if (encoded.is_encoded() &&
+        shard.bytes + EntryBytes(*value) > shard_capacity) {
+      *value = std::move(encoded);
+    }
+    const size_t bytes = EntryBytes(*value);
     if (!stale &&
         bytes <= shard_capacity) {  // capacity 0 / oversized: not retained
+      retained = true;
       auto it = shard.index.find(v);
       if (it != shard.index.end()) {
         // Raced insert (unreachable while single-flight holds, kept as
@@ -208,7 +250,11 @@ void DbCache::InsertAndPublish(VertexId v, AdjacencyPayload value,
           metrics_.prefetch_wasted->Add(1);
         }
       } else {
-        shard.lru.push_front(Entry{v, value, bytes, prefetched});
+        if (value->is_encoded()) {
+          ++shard.encoded_inserts;
+          metrics_.encoded_inserts->Add(1);
+        }
+        shard.lru.push_front(Entry{v, *value, bytes, prefetched});
         shard.index[v] = shard.lru.begin();
         shard.bytes += bytes;
         metrics_.resident_bytes->Add(static_cast<double>(bytes));
@@ -228,6 +274,7 @@ void DbCache::InsertAndPublish(VertexId v, AdjacencyPayload value,
           }
           shard.index.erase(victim.key);
           shard.lru.pop_back();
+          evictions_.fetch_add(1);
         }
       }
     } else if (prefetched) {
@@ -241,10 +288,11 @@ void DbCache::InsertAndPublish(VertexId v, AdjacencyPayload value,
   // so a late Get either sees the cached entry or starts a fresh flight.
   {
     std::lock_guard<std::mutex> fl(flight->mu);
-    flight->value = std::move(value);
+    flight->value = *value;
     flight->ready = true;
   }
   flight->ready_cv.notify_all();
+  return retained;
 }
 
 void DbCache::PrefetchAsync(const VertexId* keys, size_t count) {
@@ -346,7 +394,7 @@ void DbCache::FetchBatch(const std::vector<VertexId>& batch) {
   metrics_.prefetch_round_trips->Add(reply.round_trips);
   metrics_.prefetch_bytes->Add(reply.bytes);
   for (size_t i = 0; i < to_fetch.size(); ++i) {
-    InsertAndPublish(to_fetch[i], std::move(reply.values[i]), flights[i],
+    InsertAndPublish(to_fetch[i], &reply.values[i], flights[i],
                      /*prefetched=*/true);
   }
 }
@@ -377,6 +425,7 @@ void DbCache::AdvanceEpoch(uint64_t epoch,
     }
     shard.lru.erase(it->second);
     shard.index.erase(it);
+    evictions_.fetch_add(1);
   }
 }
 
@@ -385,6 +434,11 @@ void DbCache::WaitForPrefetches() {
   prefetch_idle_cv_.wait(lock, [this] {
     return active_jobs_ == 0 && prefetch_queue_.empty();
   });
+}
+
+void DbCache::CreditHits(Count n) {
+  credited_hits_.fetch_add(n, std::memory_order_relaxed);
+  metrics_.hits->Add(n);
 }
 
 std::shared_ptr<const VertexSet> DbCache::GetAdjacency(VertexId v,
@@ -406,7 +460,9 @@ DbCacheStats DbCache::stats() const {
     total.prefetch_claimed += shard->prefetch_claimed;
     total.prefetch_wasted += shard->prefetch_wasted;
     total.epoch_invalidations += shard->epoch_invalidations;
+    total.encoded_inserts += shard->encoded_inserts;
   }
+  total.hits += credited_hits_.load(std::memory_order_relaxed);
   total.prefetch_round_trips =
       prefetch_round_trips_.load(std::memory_order_relaxed);
   total.prefetch_bytes = prefetch_bytes_.load(std::memory_order_relaxed);

@@ -30,7 +30,10 @@ class Histogram;
 /// Hit/miss statistics of a database cache. Every lookup is counted in
 /// exactly one bucket: `hits` (served from cache), `misses` (this lookup
 /// issued a store query of its own) or `coalesced` (this lookup waited on
-/// another thread's in-flight query for the same key — no store traffic).
+/// another thread's in-flight query for the same key). A coalesced waiter
+/// whose flight turns out to have been fetched under a superseded epoch
+/// re-runs the lookup uncounted and stays `coalesced`, like the primary's
+/// own epoch refetch stays one miss.
 ///
 /// Hit-rate convention (the one convention used everywhere — reports,
 /// benches and tests): a lookup counts as a *hit* iff it was served from
@@ -67,6 +70,9 @@ struct DbCacheStats {
   /// Entries evicted by AdvanceEpoch's precise invalidation (their
   /// vertex was touched by an epoch's delta).
   Count epoch_invalidations = 0;
+  /// Retained entries stored still encoded because their decoded form
+  /// did not fit the shard's free capacity or the governor's headroom.
+  Count encoded_inserts = 0;
   /// Round trips of the batched background fetches (one per partition
   /// per batch) and their payload bytes; the cluster's overlap model
   /// charges these against compute instead of task stall time.
@@ -96,13 +102,23 @@ struct DbCacheStats {
 /// bytes of cached adjacency payload, so experiments can size it relative
 /// to the data graph (Exp-3).
 ///
-/// Charge basis: entries are stored exactly as the transport delivered
-/// them — still delta+varint encoded on compressed backends — and each
-/// entry is charged its *resident* bytes (AdjacencyPayload::
-/// resident_bytes, i.e. encoded size when encoded) plus a fixed
-/// per-entry overhead. A compressed transport therefore fits ~the
-/// compression ratio more adjacency sets into the same capacity. The
-/// current total is exported as the `db_cache.resident_bytes` gauge.
+/// Charge basis: each entry is charged its *resident* bytes
+/// (AdjacencyPayload::resident_bytes: 4 B/entry decoded, the encoded size
+/// when encoded) plus a fixed per-entry overhead. Residency is mixed.
+/// Raw payloads are stored as delivered. An encoded payload (compressed
+/// backends) is decoded once on insert and stored raw iff the raw charge
+/// fits the shard's free capacity without evicting anything and the
+/// governor, when present, has headroom for it; otherwise it stays
+/// encoded (counted in `db_cache.encoded_inserts`), so a full cache
+/// settles back to all-encoded residency and the same capacity holds ~the
+/// compression ratio more adjacency sets. The current total is exported
+/// as the `db_cache.resident_bytes` gauge.
+///
+/// Recency: PlanExecutor memoizes the retained sets it fetched for the
+/// length of one task, while the cache evicts nothing (evictions()), and
+/// credits the repeat lookups it served from that memo as hits
+/// (CreditHits). LRU recency is therefore refreshed on a vertex's first
+/// touch per task, not on every touch; which lookups hit is unchanged.
 ///
 /// Sharded LRU: the key space is split over independent shards, each with
 /// its own mutex, list and map, so concurrent worker threads do not
@@ -131,12 +147,16 @@ class DbCache {
   };
 
   struct Reply {
-    /// As delivered by the transport: decoded (raw backends) or still
-    /// delta+varint encoded (compressed backends). The executor's fused
+    /// The form the cache stores: decoded, or still delta+varint encoded
+    /// when the decoded form did not fit (and always encoded from a
+    /// compressed backend when nothing is retained). The executor's fused
     /// kernels consume the encoded form directly; call
     /// value.Materialize() for a decoded set.
     AdjacencyPayload value;
     Outcome outcome = Outcome::kMiss;
+    /// `value` is the cache's resident entry (every hit, and a miss whose
+    /// reply was retained), so a repeat lookup would hit until evicted.
+    bool retained = false;
   };
 
   /// `capacity_bytes` == 0 disables caching (every get is a miss that
@@ -165,6 +185,19 @@ class DbCache {
   /// otherwise querying the distributed store (or piggybacking on a
   /// concurrent in-flight query) and inserting the reply.
   Reply Get(VertexId v);
+
+  /// Counts `n` lookups a caller served from its own memo of sets this
+  /// cache returned as retained (PlanExecutor's per-task memo) as hits,
+  /// so `hits` keeps counting every adjacency request served without a
+  /// store query.
+  void CreditHits(Count n);
+
+  /// Entries dropped so far: LRU evictions plus AdvanceEpoch purges. An
+  /// entry returned as retained is still resident while this is
+  /// unchanged, which is what lets a caller memoize it.
+  uint64_t evictions() const {
+    return evictions_.load();
+  }
 
   /// Convenience wrapper around Get that materializes the payload.
   /// `was_hit`, if non-null, reports whether this call was served from
@@ -251,19 +284,28 @@ class DbCache {
     Count prefetch_claimed = 0;
     Count prefetch_wasted = 0;
     Count epoch_invalidations = 0;
+    Count encoded_inserts = 0;
   };
 
   static constexpr int kFlightQueued = 0;
   static constexpr int kFlightFetching = 1;
 
   Shard& ShardFor(VertexId v) { return *shards_[v % shards_.size()]; }
+  size_t ShardCapacity() const {
+    return capacity_bytes_ == 0 ? 0 : capacity_bytes_ / shards_.size();
+  }
   static size_t EntryBytes(const AdjacencyPayload& value) {
     return value.resident_bytes() + kEntryOverheadBytes;
   }
 
-  /// Inserts the reply into the LRU (respecting capacity), unlinks the
-  /// flight and publishes the value to waiters.
-  void InsertAndPublish(VertexId v, AdjacencyPayload value,
+  /// Get's body; `counted` false re-runs a lookup already counted in a
+  /// bucket (the stale-flight retry) without counting it again.
+  Reply Lookup(VertexId v, bool counted);
+  /// Inserts the reply into the LRU (respecting capacity, decoding it
+  /// first when the decoded form fits), unlinks the flight and publishes
+  /// the value to waiters. `*value` becomes the published form; returns
+  /// whether it was retained.
+  bool InsertAndPublish(VertexId v, AdjacencyPayload* value,
                         const std::shared_ptr<Flight>& flight,
                         bool prefetched);
   /// Drains the pending prefetch queue in batches until it is empty.
@@ -296,6 +338,7 @@ class DbCache {
     metrics::Counter* prefetch_claimed = nullptr;
     metrics::Counter* prefetch_wasted = nullptr;
     metrics::Counter* epoch_invalidations = nullptr;
+    metrics::Counter* encoded_inserts = nullptr;
     metrics::Counter* prefetch_round_trips = nullptr;
     metrics::Counter* prefetch_bytes = nullptr;
     metrics::Gauge* resident_bytes = nullptr;
@@ -317,6 +360,8 @@ class DbCache {
   bool shutting_down_ = false;
   std::atomic<Count> prefetch_round_trips_{0};
   std::atomic<Count> prefetch_bytes_{0};
+  std::atomic<Count> credited_hits_{0};  ///< CreditHits total
+  std::atomic<uint64_t> evictions_{0};   ///< see evictions()
 };
 
 }  // namespace benu

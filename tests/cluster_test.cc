@@ -106,6 +106,45 @@ TEST(ClusterTest, CacheReducesDbQueries) {
   EXPECT_EQ(ra->cache_hits, 0u);
 }
 
+TEST(ClusterTest, CountsInvariantAcrossResidencyRegimes) {
+  // Cache residency (nothing retained / tight: mostly encoded with churn
+  // / roomy: everything decoded on insert) × compression × executor
+  // threads (each thread's DBQ memo over one shared cache) must never
+  // change a count.
+  auto raw = GenerateBarabasiAlbert(120, 5, 43);
+  ASSERT_TRUE(raw.ok());
+  Graph data = raw->RelabelByDegree();
+  const size_t adjacency = data.AdjacencyBytes();
+  for (const std::string name : {"q5", "q9", "clique5"}) {
+    Graph p = std::move(GetPattern(name)).value();
+    auto plan = GenerateBestPlan(p, DataGraphStats::FromGraph(data));
+    ASSERT_TRUE(plan.ok()) << name;
+    auto expected = BruteForceCountSubgraphs(data, p);
+    ASSERT_TRUE(expected.ok());
+    for (bool compress : {true, false}) {
+      for (size_t cache_bytes : {size_t{0}, adjacency / 4, adjacency * 4}) {
+        for (int threads : {1, 4}) {
+          ClusterConfig config = SmallCluster();
+          config.compress_adjacency = compress;
+          config.db_cache_bytes = cache_bytes;
+          config.execution_threads = threads;
+          config.allow_thread_oversubscription = true;
+          ClusterSimulator cluster(data, config);
+          auto result = cluster.Run(plan->plan);
+          ASSERT_TRUE(result.ok()) << name;
+          EXPECT_EQ(result->total_matches, *expected)
+              << name << " compress=" << compress
+              << " cache=" << cache_bytes << " threads=" << threads;
+          EXPECT_EQ(result->cache_hits + result->db_queries +
+                        result->coalesced_fetches,
+                    result->adjacency_requests)
+              << name;
+        }
+      }
+    }
+  }
+}
+
 TEST(ClusterTest, PrefetchPipelinePreservesCountsOnDbqHeavyPlans) {
   // DBQ-heavy regression: q9 and the 5-clique with a capacity-0 cache —
   // every adjacency request is a store fetch, so the prefetch pipeline is

@@ -10,9 +10,11 @@
 #include <mutex>
 #include <thread>
 
+#include "common/logging.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/memory_governor.h"
 #include "graph/adj_codec.h"
 #include "graph/generators.h"
 #include "graph/patterns.h"
@@ -98,6 +100,23 @@ TEST(DbCacheTest, LruEvictsColdEntries) {
   EXPECT_FALSE(hit);
 }
 
+TEST(DbCacheTest, EvictionsCountLruEvictionsAndEpochPurges) {
+  // A caller may keep using a set it got back as retained while this
+  // count is unchanged (PlanExecutor's per-task memo relies on it).
+  Graph g = MakeCycle(8);
+  DistributedKvStore store(g, 1);
+  DbCache cache(&store, 2 * (2 * sizeof(VertexId) + 32), /*num_shards=*/1);
+  cache.Get(0);
+  cache.Get(1);
+  cache.Get(0);  // hit
+  EXPECT_EQ(cache.evictions(), 0u);
+  cache.Get(2);  // evicts 1
+  EXPECT_EQ(cache.evictions(), 1u);
+  const VertexId touched[] = {0, 5};  // 5 is not cached: nothing to purge
+  cache.AdvanceEpoch(1, touched);
+  EXPECT_EQ(cache.evictions(), 2u);
+}
+
 TEST(DbCacheTest, CapacityBoundRespected) {
   auto g = GenerateBarabasiAlbert(500, 4, 9);
   ASSERT_TRUE(g.ok());
@@ -120,10 +139,11 @@ TEST(DbCacheTest, OversizedEntryNotRetained) {
 }
 
 TEST(DbCacheTest, CompressedEntriesChargedAtEncodedSize) {
-  // On a compressed transport the cache stores the still-encoded payload
-  // and charges capacity by its *encoded* size, so the same budget holds
-  // ~compression-ratio more adjacency sets. The hub set of a star is
-  // delta-1 runs — one varint byte per vertex vs 4 raw bytes.
+  // When the decoded form does not fit, the cache stores the still-
+  // encoded payload and charges capacity by its *encoded* size, so the
+  // same budget holds ~compression-ratio more adjacency sets. The hub set
+  // of a star is delta-1 runs — one varint byte per vertex vs 4 raw
+  // bytes; 1 KiB holds it encoded (~0.5 KiB) but not decoded (~2 KiB).
   if (!codec::CompressionEnabled(true)) {
     GTEST_SKIP() << "BENU_DISABLE_COMPRESSION is set; nothing to charge";
   }
@@ -131,13 +151,126 @@ TEST(DbCacheTest, CompressedEntriesChargedAtEncodedSize) {
   DistributedKvStore raw_store(g, 1);  // convenience ctor: raw payloads
   DbCache raw_cache(&raw_store, 1 << 20, 1);
   DistributedKvStore comp_store(MakeSimulatedTransport(g, 1));
-  DbCache comp_cache(&comp_store, 1 << 20, 1);
+  DbCache comp_cache(&comp_store, 1024, 1);
 
   EXPECT_EQ(*comp_cache.GetAdjacency(0), *raw_cache.GetAdjacency(0));
   EXPECT_GT(comp_cache.SizeBytes(), 0u);
   EXPECT_LT(comp_cache.SizeBytes() * 3, raw_cache.SizeBytes());
   // A cached compressed entry keeps serving the right set.
   EXPECT_EQ(*comp_cache.GetAdjacency(0), *raw_cache.GetAdjacency(0));
+}
+
+// --- residency: decode on insert vs encoded -----------------------------
+
+uint64_t DecodedValues() {
+  return metrics::MetricsRegistry::Global()
+      .GetCounter("codec.decode.values", "1")
+      ->Value();
+}
+
+TEST(DbCacheResidencyTest, RoomyCacheStoresDecodedEntries) {
+  if (!codec::CompressionEnabled(true)) {
+    GTEST_SKIP() << "BENU_DISABLE_COMPRESSION is set; nothing is encoded";
+  }
+  auto g = GenerateBarabasiAlbert(200, 4, 5);
+  ASSERT_TRUE(g.ok());
+  DistributedKvStore store(MakeSimulatedTransport(*g, 2));
+  DbCache cache(&store, 1 << 20, 4);
+  size_t expected_bytes = 0;
+  for (VertexId v = 0; v < g->NumVertices(); ++v) {
+    const DbCache::Reply miss = cache.Get(v);
+    // The miss reply already hands out the stored (decoded) form.
+    EXPECT_FALSE(miss.value.is_encoded());
+    EXPECT_TRUE(miss.retained);
+    const VertexSetView adj = g->Adjacency(v);
+    EXPECT_EQ(*miss.value.decoded, VertexSet(adj.begin(), adj.end()));
+    EXPECT_GT(miss.value.wire_bytes, 0u);
+    expected_bytes += g->Degree(v) * sizeof(VertexId) + 32;
+  }
+  EXPECT_EQ(cache.SizeBytes(), expected_bytes);
+  EXPECT_EQ(cache.stats().encoded_inserts, 0u);
+  const DbCache::Reply hit = cache.Get(7);
+  EXPECT_EQ(hit.outcome, DbCache::Outcome::kHit);
+  EXPECT_FALSE(hit.value.is_encoded());
+}
+
+// K(4, 200): every left vertex's adjacency is 200 consecutive ids, one
+// varint byte each encoded (~232 B charged) vs 832 B decoded.
+Graph MakeWideBipartite() {
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId l = 0; l < 4; ++l) {
+    for (VertexId r = 4; r < 204; ++r) edges.emplace_back(l, r);
+  }
+  auto g = Graph::FromEdges(204, edges);
+  BENU_CHECK(g.ok());
+  return std::move(g).value();
+}
+
+TEST(DbCacheResidencyTest, TightCacheKeepsEntriesEncoded) {
+  if (!codec::CompressionEnabled(true)) {
+    GTEST_SKIP() << "BENU_DISABLE_COMPRESSION is set; nothing is encoded";
+  }
+  Graph g = MakeWideBipartite();
+  DistributedKvStore probe(MakeSimulatedTransport(g, 1));
+  const size_t encoded_charge = probe.GetAdjacency(0).resident_bytes() + 32;
+  const size_t decoded_charge = 200 * sizeof(VertexId) + 32;
+  // Room for three entries encoded, not for one decoded.
+  const size_t capacity = 3 * encoded_charge;
+  ASSERT_LT(capacity, decoded_charge);
+
+  DistributedKvStore store(MakeSimulatedTransport(g, 1));
+  DbCache cache(&store, capacity, /*num_shards=*/1);
+  for (VertexId v = 0; v < 4; ++v) {
+    const DbCache::Reply miss = cache.Get(v);
+    EXPECT_TRUE(miss.value.is_encoded());  // handed out as stored
+    EXPECT_EQ(*miss.value.Materialize(), *probe.GetAdjacency(v).Materialize());
+  }
+  // As many vertices retained as an all-encoded cache holds: 3 of 4.
+  EXPECT_EQ(cache.SizeBytes(), capacity);
+  EXPECT_EQ(cache.stats().encoded_inserts, 4u);
+  int hits = 0;
+  for (VertexId v = 4; v-- > 0;) {
+    if (cache.Get(v).outcome == DbCache::Outcome::kHit) ++hits;
+  }
+  EXPECT_EQ(hits, 3);  // the three most recent (3, 2, 1) stayed resident
+}
+
+TEST(DbCacheResidencyTest, ZeroCapacityPassesEncodedPayloadsThrough) {
+  if (!codec::CompressionEnabled(true)) {
+    GTEST_SKIP() << "BENU_DISABLE_COMPRESSION is set; nothing is encoded";
+  }
+  auto g = GenerateBarabasiAlbert(100, 4, 6);
+  ASSERT_TRUE(g.ok());
+  DistributedKvStore store(MakeSimulatedTransport(*g, 1));
+  DbCache cache(&store, 0);
+  const uint64_t before = DecodedValues();
+  for (VertexId v = 0; v < g->NumVertices(); ++v) {
+    const DbCache::Reply reply = cache.Get(v);
+    EXPECT_TRUE(reply.value.is_encoded());
+    EXPECT_FALSE(reply.retained);
+  }
+  EXPECT_EQ(DecodedValues(), before);
+  EXPECT_EQ(cache.stats().encoded_inserts, 0u);  // nothing was retained
+}
+
+TEST(DbCacheResidencyTest, GovernorWithoutHeadroomKeepsEntriesEncoded) {
+  if (!codec::CompressionEnabled(true)) {
+    GTEST_SKIP() << "BENU_DISABLE_COMPRESSION is set; nothing is encoded";
+  }
+  auto g = GenerateBarabasiAlbert(100, 4, 7);
+  ASSERT_TRUE(g.ok());
+  DistributedKvStore store(MakeSimulatedTransport(*g, 1));
+  MemoryGovernor governor(/*memory_budget_bytes=*/16);
+  DbCache cache(&store, 1 << 20, 2, nullptr, 16, &governor);
+  size_t encoded_bytes = 0;
+  for (VertexId v = 0; v < g->NumVertices(); ++v) {
+    const DbCache::Reply reply = cache.Get(v);
+    EXPECT_TRUE(reply.value.is_encoded());
+    encoded_bytes += reply.value.resident_bytes() + 32;
+  }
+  EXPECT_EQ(cache.SizeBytes(), encoded_bytes);
+  EXPECT_EQ(cache.stats().encoded_inserts, g->NumVertices());
+  EXPECT_EQ(governor.stats().cache_bytes, encoded_bytes);
 }
 
 TEST(DbCacheTest, ResidentBytesGaugeTracksLiveCaches) {
@@ -431,6 +564,40 @@ TEST(DbCacheEpochTest, FetchRacingEpochAdvanceNeverPublishesStale) {
   // And the retained entry is the new-epoch value too.
   EXPECT_EQ(*cache.Get(2).value.Materialize(), (VertexSet{2}));
   EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+TEST(DbCacheEpochTest, StaleCoalescedWaitCountsOneLookup) {
+  // A Get coalesces on a prefetch flight that goes stale under it: the
+  // waiter retries under the new epoch, but the lookup stays one
+  // coalesced lookup — it must not land in a second bucket.
+  Graph g = MakeCycle(4);
+  GatedStore store(g);
+  ThreadPool pool(1);
+  DbCache cache(&store, 1 << 20, /*num_shards=*/1, &pool);
+
+  store.Gate();
+  const VertexId key = 1;
+  cache.PrefetchAsync(&key, 1);
+  SpinUntil([&] { return store.fetches_started() >= 1; });
+  DbCache::Reply reply;
+  std::thread getter([&] { reply = cache.Get(key); });
+  SpinUntil([&] { return cache.stats().coalesced >= 1; });
+  store.BumpValue();
+  const VertexId touched[] = {key};
+  cache.AdvanceEpoch(1, touched);
+  store.Release();
+  getter.join();
+  cache.WaitForPrefetches();
+
+  EXPECT_EQ(reply.outcome, DbCache::Outcome::kCoalesced);
+  EXPECT_EQ(*reply.value.Materialize(), (VertexSet{2}));
+  DbCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.Lookups(), 1u);
+  EXPECT_EQ(stats.coalesced, 1u);
+  EXPECT_EQ(stats.prefetch_wasted, 1u);
+  // The retry's fetch was retained under the new epoch.
+  EXPECT_EQ(cache.Get(key).outcome, DbCache::Outcome::kHit);
+  EXPECT_EQ(cache.stats().Lookups(), 2u);
 }
 
 TEST(DbCacheEpochTest, StalePrefetchCountsAsWastedAndIsDropped) {

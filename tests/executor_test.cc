@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "baselines/bruteforce.h"
+#include "common/metrics.h"
+#include "distributed/cluster.h"
 #include "graph/generators.h"
 #include "graph/patterns.h"
 #include "plan/optimizer.h"
@@ -191,6 +193,117 @@ TEST(ExecutorTest, CachedProviderReportsHitsAndQueries) {
   EXPECT_GT(totals.cache_hits, 0u);
   EXPECT_LE(totals.db_queries, data.NumVertices());
   EXPECT_EQ(store.stats().queries.load(), totals.db_queries);
+}
+
+// Counts the lookups that reach the cache, so a test can tell the DBQs
+// the executor's per-task memo served.
+class CountingCachedProvider : public CachedAdjacencyProvider {
+ public:
+  using CachedAdjacencyProvider::CachedAdjacencyProvider;
+  Fetch GetAdjacency(VertexId v) override {
+    ++calls;
+    return CachedAdjacencyProvider::GetAdjacency(v);
+  }
+  Count calls = 0;
+};
+
+TEST(ExecutorTest, MemoServesRepeatDbqsWithinATaskAsCreditedHits) {
+  auto raw = GenerateBarabasiAlbert(150, 5, 31);
+  ASSERT_TRUE(raw.ok());
+  Graph data = raw->RelabelByDegree();
+  Graph p = std::move(GetPattern("q5")).value();
+  auto result = GenerateBestPlan(p, DataGraphStats::FromGraph(data));
+  ASSERT_TRUE(result.ok());
+
+  DistributedKvStore store(data, 2);
+  DbCache cache(&store, 1 << 20);
+  CountingCachedProvider provider(&cache, data.NumVertices());
+  TriangleCache tcache;
+  auto executor = PlanExecutor::Create(&result->plan, &provider, &tcache);
+  ASSERT_TRUE(executor.ok());
+  CountingConsumer consumer(result->plan);
+  TaskStats totals;
+  for (VertexId v = 0; v < data.NumVertices(); ++v) {
+    totals.Accumulate((*executor)->RunTask(SearchTask{v, 0, 1}, &consumer));
+  }
+  EXPECT_EQ(consumer.matches(), RunAllTasks(result->plan, data));
+  // Some DBQs never reached the cache, yet the cache counts every
+  // request served without a store query as a hit.
+  EXPECT_LT(provider.calls, totals.adjacency_requests);
+  const DbCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, totals.cache_hits);
+  EXPECT_EQ(stats.misses, totals.db_queries);
+  EXPECT_EQ(stats.Lookups(), totals.adjacency_requests);
+}
+
+TEST(ExecutorTest, MemoPinsNothingAcrossTasks) {
+  auto raw = GenerateBarabasiAlbert(120, 4, 32);
+  ASSERT_TRUE(raw.ok());
+  Graph data = raw->RelabelByDegree();
+  Graph p = std::move(GetPattern("q5")).value();
+  auto result = GenerateBestPlan(p, DataGraphStats::FromGraph(data));
+  ASSERT_TRUE(result.ok());
+
+  DistributedKvStore store(data, 1);
+  DbCache cache(&store, 1 << 20);
+  CachedAdjacencyProvider provider(&cache, data.NumVertices());
+  std::vector<std::shared_ptr<const VertexSet>> held;
+  for (VertexId v = 0; v < data.NumVertices(); ++v) {
+    held.push_back(cache.Get(v).value.decoded);
+  }
+  std::vector<long> before;
+  for (const auto& set : held) before.push_back(set.use_count());
+
+  TriangleCache tcache;
+  auto executor = PlanExecutor::Create(&result->plan, &provider, &tcache);
+  ASSERT_TRUE(executor.ok());
+  CountingConsumer consumer(result->plan);
+  TaskStats totals;
+  for (VertexId v = 0; v < data.NumVertices(); ++v) {
+    totals.Accumulate((*executor)->RunTask(SearchTask{v, 0, 1}, &consumer));
+    for (size_t u = 0; u < held.size(); ++u) {
+      ASSERT_EQ(held[u].use_count(), before[u]) << "task " << v << " set " << u;
+    }
+  }
+  EXPECT_GT(totals.cache_hits, 0u);
+}
+
+TEST(ExecutorTest, MemoHitsKeepCacheAndClusterHitCountsEqual) {
+  // 4 real threads on one worker share one DbCache; each executor's memo
+  // credits its hits once per task, so the cache-side and task-side hit
+  // counts still agree exactly.
+  auto raw = GenerateBarabasiAlbert(200, 5, 33);
+  ASSERT_TRUE(raw.ok());
+  Graph data = raw->RelabelByDegree();
+  Graph p = std::move(GetPattern("q5")).value();
+  auto plan = GenerateBestPlan(p, DataGraphStats::FromGraph(data));
+  ASSERT_TRUE(plan.ok());
+
+  ClusterConfig config;
+  config.num_workers = 1;
+  config.threads_per_worker = 4;
+  config.execution_threads = 4;
+  config.allow_thread_oversubscription = true;
+  config.max_runtime_threads = 4;
+  config.db_cache_bytes = 1 << 20;
+  auto& registry = metrics::MetricsRegistry::Global();
+  metrics::Counter* hits = registry.GetCounter("db_cache.hits", "1");
+  metrics::Counter* misses = registry.GetCounter("db_cache.misses", "1");
+  metrics::Counter* coalesced = registry.GetCounter("db_cache.coalesced", "1");
+  const uint64_t hits0 = hits->Value();
+  const uint64_t misses0 = misses->Value();
+  const uint64_t coalesced0 = coalesced->Value();
+
+  ClusterSimulator cluster(data, config);
+  auto run = cluster.Run(plan->plan);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->total_matches, RunAllTasks(plan->plan, data));
+  EXPECT_EQ(run->execution_threads, 4);
+  EXPECT_EQ(hits->Value() - hits0, run->cache_hits);
+  EXPECT_EQ(misses->Value() - misses0, run->db_queries);
+  EXPECT_EQ(coalesced->Value() - coalesced0, run->coalesced_fetches);
+  EXPECT_EQ(run->cache_hits + run->db_queries + run->coalesced_fetches,
+            run->adjacency_requests);
 }
 
 TEST(ExecutorTest, DirectProviderIsZeroCopy) {
