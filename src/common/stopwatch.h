@@ -25,9 +25,10 @@ class Stopwatch {
 };
 
 /// CPU time consumed by the calling thread, in seconds, or a negative
-/// value when the platform offers no per-thread CPU clock. The executor
-/// stamps tasks with it so the compute times feeding the virtual-time
-/// model are immune to preemption when many OS threads share few cores.
+/// value when the platform offers no per-thread CPU clock. The cluster
+/// runtime stamps tasks with it so the compute times feeding the
+/// virtual-time model are immune to preemption when many OS threads share
+/// few cores.
 double ThreadCpuSeconds();
 
 }  // namespace benu

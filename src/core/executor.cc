@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/stopwatch.h"
 #include "core/memory_governor.h"
 
 namespace benu {
@@ -730,30 +729,32 @@ void PlanExecutor::ExecEnumerateBatched(const Compiled& ins,
 
 TaskStats PlanExecutor::RunTask(const SearchTask& task,
                                 MatchConsumer* consumer) {
-  Stopwatch watch;
-  const double cpu_start = ThreadCpuSeconds();
+  // Untraced tasks read no clock: seeded maintenance runs tens of
+  // thousands of tiny tasks, where a clock read per task is a real tax.
+  // Callers that need per-task times (the cluster runtime's virtual-time
+  // model) stamp them around this call.
   stats_ = TaskStats();
   task_ = &task;
   consumer_ = consumer;
   trace_.timed = metrics::TracingEnabled();
   trace_.current = -1;
+  std::chrono::steady_clock::time_point task_begin;
+  if (trace_.timed) trace_.last = task_begin = std::chrono::steady_clock::now();
   if (tcache_ != nullptr) tcache_->BeginTask(task.start);
   std::fill(f_.begin(), f_.end(), kInvalidVertex);
   if (cancel_ == nullptr || !cancel_->load(std::memory_order_relaxed)) {
     Exec(0);
   }
-  if (trace_.timed) TraceSwitch(-1);  // charge the tail interval
+  if (trace_.timed) {
+    TraceSwitch(-1);  // charge the tail interval; trace_.last = task end
+    task_span_us_->Record(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(trace_.last -
+                                                              task_begin)
+            .count()));
+  }
   ReleaseTaskState();
   task_ = nullptr;
   consumer_ = nullptr;
-  stats_.wall_seconds = watch.ElapsedSeconds();
-  if (trace_.timed) {
-    task_span_us_->Record(
-        static_cast<uint64_t>(stats_.wall_seconds * 1e6));
-  }
-  const double cpu_end = ThreadCpuSeconds();
-  stats_.cpu_seconds =
-      (cpu_start >= 0 && cpu_end >= 0) ? cpu_end - cpu_start : -1;
   return stats_;
 }
 

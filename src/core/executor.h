@@ -175,6 +175,9 @@ struct TaskStats {
   Count bytes_fetched = 0;
   Count intersections = 0;    ///< INT executions + TRC misses
   Count tcache_hits = 0;
+  /// Task times. PlanExecutor::RunTask leaves them at 0 / -1 (it reads
+  /// no clock for them); the cluster runtime stamps both around its own
+  /// RunTask call, since only its virtual-time model reads them.
   double wall_seconds = 0;
   /// CPU time of the executing thread; < 0 when the platform cannot
   /// measure it. The cluster's virtual-time model prefers this over
@@ -216,7 +219,9 @@ class PlanExecutor {
   ~PlanExecutor();
 
   /// Runs one local search task, streaming results into `consumer`.
-  /// Returns the task's metrics (matches is left 0; consumers count).
+  /// Returns the task's metrics (matches is left 0; consumers count;
+  /// wall/cpu seconds are left unset, see TaskStats). Reads a clock
+  /// only under tracing, for `executor.task.us` and the self-times.
   TaskStats RunTask(const SearchTask& task, MatchConsumer* consumer);
 
   /// Selects the ENU expansion mode (default ExpansionMode::kDfs, the

@@ -72,8 +72,9 @@ size_t ExecuteWorkers(std::vector<std::unique_ptr<WorkerExecution>>& workers,
                       bool prefetch_enabled, const Stopwatch& total_watch) {
   // Per-worker runtime phase totals (§2e): time spent claiming/stealing
   // tasks vs executing them, accumulated thread-locally and flushed once
-  // per thread. Only measured under tracing — two clock reads per task
-  // are not free on micro-task workloads.
+  // per thread. Only measured under tracing — two clock reads per claim
+  // are not free on micro-task workloads; compute time reuses the task's
+  // own wall stamp.
   auto& registry = metrics::MetricsRegistry::Global();
   metrics::Counter* claim_ns_metric = registry.GetCounter(
       "cluster.phase.claim_ns", "ns",
@@ -82,11 +83,18 @@ size_t ExecuteWorkers(std::vector<std::unique_ptr<WorkerExecution>>& workers,
       "cluster.phase.compute_ns", "ns",
       "execution-thread time spent inside RunTask (traced)");
 
+  const auto ns_since = [](std::chrono::steady_clock::time_point t0) {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+  };
+
   // One execution thread of one worker: claim tasks (stealing from
   // sibling threads when the own deque runs dry) until the worker's task
   // list is exhausted.
-  auto run_thread = [&total_watch, claim_ns_metric, compute_ns_metric](
-                        WorkerExecution* ws, size_t t) {
+  auto run_thread = [&total_watch, &ns_since, claim_ns_metric,
+                     compute_ns_metric](WorkerExecution* ws, size_t t) {
     WorkerThreadContext& ctx = ws->contexts[t];
     const bool traced = metrics::TracingEnabled();
     uint64_t claim_ns = 0;
@@ -94,31 +102,24 @@ size_t ExecuteWorkers(std::vector<std::unique_ptr<WorkerExecution>>& workers,
     size_t index = 0;
     bool stolen = false;
     for (;;) {
-      bool claimed;
-      if (traced) {
-        const auto t0 = std::chrono::steady_clock::now();
-        claimed = ws->scheduler->Claim(t, &index, &stolen);
-        claim_ns += static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count());
-      } else {
-        claimed = ws->scheduler->Claim(t, &index, &stolen);
-      }
+      const auto claim_start = traced ? std::chrono::steady_clock::now()
+                                      : std::chrono::steady_clock::time_point();
+      const bool claimed = ws->scheduler->Claim(t, &index, &stolen);
+      if (traced) claim_ns += ns_since(claim_start);
       if (!claimed) break;
       if (stolen) ++ctx.steals;
-      if (traced) {
-        const auto t0 = std::chrono::steady_clock::now();
-        ws->per_task[index] =
-            ctx.executor->RunTask((*ws->tasks)[index], ctx.consumer.get());
-        compute_ns += static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count());
-      } else {
-        ws->per_task[index] =
-            ctx.executor->RunTask((*ws->tasks)[index], ctx.consumer.get());
-      }
+      // The executor reads no clock of its own (untraced); stamp the
+      // task times the virtual-time model needs around the call.
+      const auto task_start = std::chrono::steady_clock::now();
+      const double cpu_start = ThreadCpuSeconds();
+      TaskStats& stats = ws->per_task[index];
+      stats = ctx.executor->RunTask((*ws->tasks)[index], ctx.consumer.get());
+      const double cpu_end = ThreadCpuSeconds();
+      const uint64_t wall_ns = ns_since(task_start);
+      stats.wall_seconds = static_cast<double>(wall_ns) * 1e-9;
+      stats.cpu_seconds =
+          (cpu_start >= 0 && cpu_end >= 0) ? cpu_end - cpu_start : -1;
+      if (traced) compute_ns += wall_ns;
     }
     if (traced) {
       claim_ns_metric->Add(claim_ns);

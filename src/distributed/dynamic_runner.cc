@@ -1,5 +1,6 @@
 #include "distributed/dynamic_runner.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -64,7 +65,8 @@ DynamicRunner::DynamicRunner(const Graph& pattern,
       "dynamic.matches_retracted", "1", "Matches lost across all epochs");
   seed_tasks_metric_ = registry.GetCounter(
       "dynamic.seed_tasks", "1",
-      "Seeded incremental executor tasks (2 orientations x |delta| x plans)");
+      "Seeded incremental executor tasks (|delta| x plans x orientations "
+      "not ruled out by the anchored pair's symmetry order: 1 or 2)");
   filter_rejected_metric_ = registry.GetCounter(
       "dynamic.filter_rejected", "1",
       "Matches rejected by the min-index uniqueness filter");
@@ -122,31 +124,42 @@ StatusOr<Count> DynamicRunner::Recount() {
   return EnumerateFull(/*track=*/false);
 }
 
-StatusOr<Count> DynamicRunner::EnumerateSeeded(
-    std::span<const EdgeDelta> delta_edges, const EdgePatch& patch,
-    bool retract, EpochReport* report) {
-  Count found = 0;
-  for (const IncrementalPlan& inc : inc_.plans) {
-    MaintenanceSink sink(options_.track_matches ? &tracked_ : nullptr,
-                         retract);
-    DeltaMatchFilter filter(&inc_, inc.edge_index, &patch, &sink);
-    auto executor =
-        PlanExecutor::Create(&inc.plan, provider_.get(), /*tcache=*/nullptr);
-    BENU_RETURN_IF_ERROR(executor.status());
-    for (const EdgeDelta& edge : delta_edges) {
-      const VertexId ends[2][2] = {{edge.u, edge.v}, {edge.v, edge.u}};
-      for (const auto& oriented : ends) {
-        SearchTask task;
-        task.start = oriented[0];
-        task.seed_second = oriented[1];
-        (*executor)->RunTask(task, &filter);
-        ++report->seed_tasks;
-      }
+StatusOr<SeededPassResult> RunSeededPass(const IncrementalPlanSet& plans,
+                                         AdjacencyProvider* provider,
+                                         std::span<const EdgeDelta> delta_edges,
+                                         const EdgePatch& patch,
+                                         MatchConsumer* sink) {
+  SeededPassResult result;
+  for (const IncrementalPlan& inc : plans.plans) {
+    // f(anchor_u) ≺ f(anchor_v) rules out start > seed; the reverse
+    // constraint rules out start < seed.
+    bool ascending = true;   // (start, seed) = (min, max) endpoint
+    bool descending = true;  // (start, seed) = (max, min) endpoint
+    for (const OrderConstraint& c : inc.plan.partial_order) {
+      if (c == OrderConstraint{inc.anchor_u, inc.anchor_v}) descending = false;
+      if (c == OrderConstraint{inc.anchor_v, inc.anchor_u}) ascending = false;
     }
-    found += sink.count();
-    report->filter_rejected += filter.rejected();
+    DeltaMatchFilter filter(&plans, inc.edge_index, &patch, sink);
+    auto executor =
+        PlanExecutor::Create(&inc.plan, provider, /*tcache=*/nullptr);
+    BENU_RETURN_IF_ERROR(executor.status());
+    SearchTask task;
+    const auto run = [&](VertexId start, VertexId seed) {
+      task.start = start;
+      task.seed_second = seed;
+      (*executor)->RunTask(task, &filter);
+      ++result.seed_tasks;
+    };
+    for (const EdgeDelta& edge : delta_edges) {
+      const VertexId lo = std::min(edge.u, edge.v);
+      const VertexId hi = std::max(edge.u, edge.v);
+      if (ascending) run(lo, hi);
+      if (descending) run(hi, lo);
+    }
+    result.found += filter.accepted();
+    result.filter_rejected += filter.rejected();
   }
-  return found;
+  return result;
 }
 
 StatusOr<EpochReport> DynamicRunner::ApplyBatch(
@@ -170,15 +183,25 @@ StatusOr<EpochReport> DynamicRunner::ApplyBatch(
   report.net_inserted = delta.inserted.size();
   report.net_removed = delta.removed.size();
 
+  // One seeded pass per side of the delta: its matches go to `found`
+  // and, when tracked, leave (retract) or join the multiset.
+  const auto seeded_pass = [&](const std::vector<EdgeDelta>& edges,
+                               bool retract, Count* found) -> Status {
+    if (edges.empty()) return Status::OK();
+    MaintenanceSink sink(&tracked_, retract);
+    auto pass = RunSeededPass(inc_, provider_.get(), edges, EdgePatch(edges),
+                              options_.track_matches ? &sink : nullptr);
+    BENU_RETURN_IF_ERROR(pass.status());
+    *found = pass->found;
+    report.seed_tasks += pass->seed_tasks;
+    report.filter_rejected += pass->filter_rejected;
+    return Status::OK();
+  };
+
   // Retraction pass: matches of the pre-apply snapshot involving a
   // net-removed edge.
-  if (!delta.removed.empty()) {
-    const EdgePatch patch(delta.removed);
-    auto retracted = EnumerateSeeded(delta.removed, patch,
-                                     /*retract=*/true, &report);
-    BENU_RETURN_IF_ERROR(retracted.status());
-    report.retracted = *retracted;
-  }
+  BENU_RETURN_IF_ERROR(
+      seeded_pass(delta.removed, /*retract=*/true, &report.retracted));
 
   // Apply: store overlay + delta replication, then precise cache
   // invalidation (the cache epoch is bumped before the purge, so racing
@@ -188,13 +211,8 @@ StatusOr<EpochReport> DynamicRunner::ApplyBatch(
 
   // Addition pass: matches of the new snapshot involving a net-inserted
   // edge.
-  if (!delta.inserted.empty()) {
-    const EdgePatch patch(delta.inserted);
-    auto added = EnumerateSeeded(delta.inserted, patch,
-                                 /*retract=*/false, &report);
-    BENU_RETURN_IF_ERROR(added.status());
-    report.added = *added;
-  }
+  BENU_RETURN_IF_ERROR(
+      seeded_pass(delta.inserted, /*retract=*/false, &report.added));
 
   BENU_CHECK(total_ + report.added >= report.retracted);
   total_ = total_ + report.added - report.retracted;

@@ -51,13 +51,34 @@ struct EpochReport {
   Count retracted = 0;
   /// Maintained total after this epoch: previous total − retracted + added.
   Count total = 0;
-  /// Seeded executor tasks run (2 orientations × |Δ| × plans).
+  /// Seeded executor tasks run (|Δ| × plans × 1 or 2, see RunSeededPass).
   Count seed_tasks = 0;
   /// Matches rejected by the min-index uniqueness filter.
   Count filter_rejected = 0;
   /// Wall time of the incremental maintenance (both passes + apply).
   double seconds = 0;
 };
+
+/// Outcome of one seeded S-BENU pass.
+struct SeededPassResult {
+  Count found = 0;            ///< matches the pass's delta owns
+  Count seed_tasks = 0;       ///< seeded executor tasks run
+  Count filter_rejected = 0;  ///< owned by an earlier plan (min-index)
+};
+
+/// One seeded S-BENU maintenance pass, shared by DynamicRunner and the
+/// service's subscriptions: runs every plan of `plans` seeded from each
+/// edge of `delta_edges` against `provider`'s snapshot and forwards the
+/// matches DeltaMatchFilter gives the plan (against `patch`) to `sink`
+/// (null: count only). An edge {u, v} is tried as (start, seed) = (u, v)
+/// and (v, u), except when the plan's symmetry-breaking order constrains
+/// the anchored pair itself: then only the orientation it admits can
+/// report a match, and the other is not run.
+StatusOr<SeededPassResult> RunSeededPass(const IncrementalPlanSet& plans,
+                                         AdjacencyProvider* provider,
+                                         std::span<const EdgeDelta> delta_edges,
+                                         const EdgePatch& patch,
+                                         MatchConsumer* sink);
 
 /// Drives S-BENU incremental maintenance over a VersionedAdjacencyStore:
 /// replays an edge stream in epoch batches, keeping the pattern's match
@@ -114,13 +135,6 @@ class DynamicRunner {
 
  private:
   DynamicRunner(const Graph& pattern, const DynamicRunnerOptions& options);
-
-  /// Runs every incremental plan seeded from `delta_edges` (both
-  /// orientations per edge), filtering via min-index against `patch`.
-  /// `retract` selects whether tracked matches are removed or added.
-  StatusOr<Count> EnumerateSeeded(std::span<const EdgeDelta> delta_edges,
-                                  const EdgePatch& patch, bool retract,
-                                  EpochReport* report);
 
   /// Full enumeration with the baseline plan; when `track` is true the
   /// tracked multiset is rebuilt.

@@ -31,11 +31,14 @@ namespace benu {
 ///   - a report-time filter (DeltaMatchFilter) rejects any match of plan i
 ///     whose earlier pattern edge e_j (j < i) also maps into Δ — that
 ///     match belongs to plan j.
-/// Both orientations of a delta edge {u, v} are tried as (start, seed)
-/// = (u, v) and (v, u); at most one survives per match since f is a
+/// A delta edge {u, v} is tried in both orientations, (start, seed) =
+/// (u, v) and (v, u); at most one survives per match since f is a
 /// function. Symmetry breaking is the full pattern's partial order,
 /// unchanged — the delta decomposition is orthogonal to duplicate
-/// elimination over automorphisms.
+/// elimination over automorphisms. When that order constrains the
+/// anchored pair itself (f(a_i) ≺ f(b_i) or the reverse), only the
+/// orientation it admits can report a match, so the seeded pass
+/// (RunSeededPass in distributed/dynamic_runner.h) runs just that one.
 ///
 /// Deletions use the *same* plans: enumerate against the pre-apply
 /// snapshot seeded from Δ⁻ to retract, apply, then enumerate against the
@@ -102,7 +105,8 @@ class EdgePatch {
 /// the tiny per-epoch patch, not the graph.
 class DeltaMatchFilter : public MatchConsumer {
  public:
-  /// All pointers/references must outlive the filter.
+  /// All pointers/references must outlive the filter; `inner` may be
+  /// null, in which case accepted matches are only counted.
   DeltaMatchFilter(const IncrementalPlanSet* set, size_t plan_index,
                    const EdgePatch* patch, MatchConsumer* inner);
 

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "distributed/dynamic_runner.h"
 #include "distributed/task.h"
 #include "graph/patterns.h"
 #include "plan/filters.h"
@@ -624,54 +625,6 @@ Status QueryEngine::StageDelta(uint64_t target_epoch,
   return Status::OK();
 }
 
-namespace {
-
-// Counting consumer of the subscription delta passes. Maintenance plans
-// are raw (uncompressed), so a compressed code is a wiring bug.
-class CountOnlySink : public MatchConsumer {
- public:
-  void OnMatch(const std::vector<VertexId>& /*f*/) override { ++count_; }
-  void OnCompressedCode(
-      const std::vector<VertexId>& /*f*/,
-      const std::vector<VertexSetView>& /*sets*/) override {
-    BENU_CHECK(false);
-  }
-  Count count() const { return count_; }
-
- private:
-  Count count_ = 0;
-};
-
-}  // namespace
-
-Count QueryEngine::SubscriptionPass(const Subscription& sub,
-                                    std::span<const EdgeDelta> delta_edges,
-                                    const EdgePatch& patch) {
-  Count found = 0;
-  for (const IncrementalPlan& ip : sub.inc->plans) {
-    CountOnlySink sink;
-    DeltaMatchFilter filter(sub.inc.get(), ip.edge_index, &patch, &sink);
-    auto executor =
-        PlanExecutor::Create(&ip.plan, provider_.get(), /*tcache=*/nullptr);
-    // Raw seeded plans over an unlabeled provider compile by
-    // construction (validated when the plan set was generated).
-    BENU_CHECK(executor.ok()) << executor.status().message();
-    for (const EdgeDelta& edge : delta_edges) {
-      // Both orientations: the plan's anchor (a_i, b_i) can map onto the
-      // undirected delta edge either way.
-      const VertexId ends[2][2] = {{edge.u, edge.v}, {edge.v, edge.u}};
-      for (const auto& oriented : ends) {
-        SearchTask task;
-        task.start = oriented[0];
-        task.seed_second = oriented[1];
-        (*executor)->RunTask(task, &filter);
-      }
-    }
-    found += sink.count();
-  }
-  return found;
-}
-
 StatusOr<uint64_t> QueryEngine::CommitEpoch(uint64_t target_epoch) {
   std::lock_guard<std::mutex> lk(mu_);
   if (stop_) return Status::Unavailable("service is shutting down");
@@ -695,21 +648,26 @@ StatusOr<uint64_t> QueryEngine::CommitEpoch(uint64_t target_epoch) {
   // S-BENU maintenance: retract against the pre-apply snapshot, apply,
   // add against the new snapshot. Canonicalization guarantees Δ⁻ ⊆ E and
   // Δ⁺ ∩ E = ∅, so the two passes partition the changed matches.
+  // Each subscription counts one side's matches into `side` of its
+  // report through the seeded pass DynamicRunner uses.
   std::unordered_map<uint64_t, wire::MatchDelta> reports;
-  if (!delta.removed.empty()) {
-    const EdgePatch patch(delta.removed);
+  const auto count_side = [&](const std::vector<EdgeDelta>& edges,
+                              uint64_t wire::MatchDelta::*side) {
+    if (edges.empty()) return;
+    const EdgePatch patch(edges);
     for (const auto& [id, sub] : subs_) {
-      reports[id].retracted = SubscriptionPass(sub, delta.removed, patch);
+      auto pass = RunSeededPass(*sub.inc, provider_.get(), edges, patch,
+                                /*sink=*/nullptr);
+      // Raw seeded plans over an unlabeled provider compile by
+      // construction (validated when the plan set was generated).
+      BENU_CHECK(pass.ok()) << pass.status().message();
+      reports[id].*side = pass->found;
     }
-  }
+  };
+  count_side(delta.removed, &wire::MatchDelta::retracted);
   const uint64_t new_epoch = vstore_->Apply(delta);
   cache_->AdvanceEpoch(new_epoch, delta.touched);
-  if (!delta.inserted.empty()) {
-    const EdgePatch patch(delta.inserted);
-    for (const auto& [id, sub] : subs_) {
-      reports[id].added = SubscriptionPass(sub, delta.inserted, patch);
-    }
-  }
+  count_side(delta.inserted, &wire::MatchDelta::added);
   for (auto& [id, sub] : subs_) {
     wire::MatchDelta report = reports[id];
     report.epoch = new_epoch;

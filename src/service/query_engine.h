@@ -347,12 +347,6 @@ class QueryEngine {
   /// Ends the subscription (erased from subs_) and fires its terminal
   /// done callback. Caller holds mu_.
   void TerminateSubscription(Subscription sub);
-  /// One seeded S-BENU pass of a subscription: enumerates the matches of
-  /// the current snapshot owned by `delta_edges` (each counted exactly
-  /// once via DeltaMatchFilter). Caller holds mu_.
-  Count SubscriptionPass(const Subscription& sub,
-                         std::span<const EdgeDelta> delta_edges,
-                         const EdgePatch& patch);
 
   const ServiceConfig config_;
   Graph graph_;  ///< the (possibly relabeled) data graph

@@ -33,10 +33,16 @@ ServiceTcpServer::ServiceTcpServer(std::unique_ptr<QueryEngine> engine)
     : engine_(std::move(engine)) {}
 
 ServiceTcpServer::~ServiceTcpServer() {
-  // Refuse new queries, let the dying engine cancel and answer the
+  // Refuse new queries, let the dying engine (taken out of engine_ under
+  // engine_mu_, so the loop cannot call into it) cancel and answer the
   // in-flight ones through the still-running loop, then stop the loop.
   draining_.store(true, std::memory_order_release);
-  engine_.reset();
+  std::unique_ptr<QueryEngine> dying;
+  {
+    std::lock_guard<std::mutex> lk(engine_mu_);
+    dying = std::move(engine_);
+  }
+  dying.reset();
   Stop();
 }
 
@@ -166,6 +172,11 @@ bool ServiceTcpServer::HandleFrame(Conn& conn, const uint8_t* data,
     wire::SetFrameTag(frame, tag);
     conn.out.insert(conn.out.end(), frame.begin(), frame.end());
   };
+  std::lock_guard<std::mutex> engine_lock(engine_mu_);
+  if (engine_ == nullptr) {
+    reply_error(Status::Unavailable("service is shutting down"));
+    return true;
+  }
   auto decoded = wire::DecodeFrame(span);
   if (!decoded.ok()) {
     // The frame was well-delimited (magic + length already checked), so
@@ -424,6 +435,7 @@ void ServiceTcpServer::CloseConn(int fd) {
     }
     // The session dies with its connection: results could no longer be
     // delivered, so stop burning compute on its queries.
+    std::lock_guard<std::mutex> lk(engine_mu_);
     if (engine_ != nullptr) engine_->CancelSession(it->second.session);
   }
   epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);

@@ -103,7 +103,9 @@ class ServiceTcpServer {
   void PostFrame(const std::shared_ptr<Outbox>& outbox,
                  std::vector<uint8_t> frame, int finished_tag);
 
+  /// Null once the destructor took it; the loop reads it under engine_mu_.
   std::unique_ptr<QueryEngine> engine_;
+  std::mutex engine_mu_;
   /// Set before the engine dies: query/cancel frames are refused with
   /// kUnavailable instead of reaching a dying engine.
   std::atomic<bool> draining_{false};

@@ -1,7 +1,7 @@
 #include "storage/versioned_store.h"
 
 #include <algorithm>
-#include <map>
+#include <tuple>
 #include <utility>
 
 #include "common/logging.h"
@@ -58,30 +58,24 @@ VersionedAdjacencyStore::VersionedAdjacencyStore(
                                 "vertices carrying a delta overlay");
 }
 
-bool VersionedAdjacencyStore::EdgeExistsLocked(
-    VertexId u, VertexId v,
-    std::unordered_map<VertexId, std::shared_ptr<const VertexSet>>* base_cache)
-    const {
+bool VersionedAdjacencyStore::EdgeExistsLocked(VertexId u, VertexId v,
+                                               BaseCursor* base) const {
   auto it = overlay_.find(u);
   if (it != overlay_.end()) {
     if (SortedContains(it->second.removed, v)) return false;
     if (SortedContains(it->second.added, v)) return true;
   }
-  auto cached = base_cache->find(u);
-  if (cached == base_cache->end()) {
-    cached =
-        base_cache
-            ->emplace(u, DistributedKvStore::GetAdjacency(u).Materialize())
-            .first;
+  if (base->u != u) {
+    base->u = u;
+    base->set = DistributedKvStore::GetAdjacency(u).Materialize();
   }
-  const auto& base = cached->second;
-  return base != nullptr && SortedContains(*base, v);
+  return base->set != nullptr && SortedContains(*base->set, v);
 }
 
 bool VersionedAdjacencyStore::EdgeExists(VertexId u, VertexId v) const {
   std::shared_lock lock(mu_);
-  std::unordered_map<VertexId, std::shared_ptr<const VertexSet>> base_cache;
-  return EdgeExistsLocked(u, v, &base_cache);
+  BaseCursor base;
+  return EdgeExistsLocked(u, v, &base);
 }
 
 EpochDelta VersionedAdjacencyStore::Canonicalize(
@@ -90,26 +84,41 @@ EpochDelta VersionedAdjacencyStore::Canonicalize(
   EpochDelta delta;
   delta.raw_ops = ops.size();
   delta.epoch = epoch_.load(std::memory_order_acquire) + 1;
-  // Edge key -> (presence before the batch, presence after ops so far).
-  // std::map so the net delta comes out sorted without a second pass.
-  std::map<std::pair<VertexId, VertexId>, std::pair<bool, bool>> state;
-  std::unordered_map<VertexId, std::shared_ptr<const VertexSet>> base_cache;
-  for (const EdgeDelta& op : ops) {
+  // Normalized ops sorted by (u, v, batch position): each edge's ops
+  // form one run whose last op is the edge's state after the batch, and
+  // runs come out in (u, v) order, so the net delta is sorted and the
+  // base adjacency is read once per distinct u through one cursor.
+  struct NormalizedOp {
+    VertexId u;
+    VertexId v;
+    size_t index;
+    bool insert;
+  };
+  std::vector<NormalizedOp> sorted;
+  sorted.reserve(ops.size());
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const EdgeDelta& op = ops[i];
     if (op.u == op.v) continue;  // self-loops are not representable
-    const auto key = std::minmax(op.u, op.v);
-    auto it = state.find(key);
-    if (it == state.end()) {
-      const bool present = EdgeExistsLocked(key.first, key.second, &base_cache);
-      it = state.emplace(key, std::make_pair(present, present)).first;
-    }
-    it->second.second = op.insert;
+    sorted.push_back({std::min(op.u, op.v), std::max(op.u, op.v), i,
+                      op.insert});
   }
-  for (const auto& [key, presence] : state) {
-    if (presence.second == presence.first) continue;  // net no-op
-    auto& side = presence.second ? delta.inserted : delta.removed;
-    side.push_back({key.first, key.second, presence.second});
-    delta.touched.push_back(key.first);
-    delta.touched.push_back(key.second);
+  std::sort(sorted.begin(), sorted.end(),
+            [](const NormalizedOp& a, const NormalizedOp& b) {
+              return std::tie(a.u, a.v, a.index) <
+                     std::tie(b.u, b.v, b.index);
+            });
+  BaseCursor base;
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    const NormalizedOp& op = sorted[i];
+    if (i + 1 < sorted.size() && sorted[i + 1].u == op.u &&
+        sorted[i + 1].v == op.v) {
+      continue;  // a later op of the same edge wins
+    }
+    if (EdgeExistsLocked(op.u, op.v, &base) == op.insert) continue;  // no-op
+    (op.insert ? delta.inserted : delta.removed).push_back(
+        {op.u, op.v, op.insert});
+    delta.touched.push_back(op.u);
+    delta.touched.push_back(op.v);
   }
   std::sort(delta.touched.begin(), delta.touched.end());
   delta.touched.erase(

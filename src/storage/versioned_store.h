@@ -107,12 +107,16 @@ class VersionedAdjacencyStore : public DistributedKvStore {
   AdjacencyPayload PatchPayload(const Overlay& overlay,
                                 const AdjacencyPayload& base) const;
 
-  /// Presence check under a held shared lock; `base_cache` memoizes
-  /// materialized base sets across one canonicalization pass.
-  bool EdgeExistsLocked(
-      VertexId u, VertexId v,
-      std::unordered_map<VertexId, std::shared_ptr<const VertexSet>>*
-          base_cache) const;
+  /// The materialized base adjacency of the vertex last read by
+  /// EdgeExistsLocked; reloaded when `u` changes.
+  struct BaseCursor {
+    VertexId u = kInvalidVertex;
+    std::shared_ptr<const VertexSet> set;
+  };
+
+  /// Presence check under a held shared lock; `base` keeps the last
+  /// vertex's base set, so queries grouped by u read each base once.
+  bool EdgeExistsLocked(VertexId u, VertexId v, BaseCursor* base) const;
 
   /// Mutators under the exclusive lock; keep the overlay symmetric.
   void InsertHalfEdgeLocked(VertexId u, VertexId v);

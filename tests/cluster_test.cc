@@ -374,6 +374,33 @@ TEST(ClusterTest, RealExecutionThreadsPreserveCounts) {
   }
 }
 
+TEST(ClusterTest, RuntimeStampsEveryTask) {
+  // The executor leaves task times unset; the runtime stamps them around
+  // each RunTask on both the inline (1 thread) and the pooled path, so
+  // every worker's summed wall time is positive and virtual time keeps
+  // one entry per task.
+  auto raw = GenerateBarabasiAlbert(120, 4, 19);
+  ASSERT_TRUE(raw.ok());
+  Graph data = raw->RelabelByDegree();
+  Graph p = std::move(GetPattern("triangle")).value();
+  auto plan = GenerateBestPlan(p, DataGraphStats::FromGraph(data));
+  ASSERT_TRUE(plan.ok());
+  for (int threads : {1, 4}) {
+    ClusterConfig config = SmallCluster();
+    config.execution_threads = threads;
+    config.allow_thread_oversubscription = true;
+    ClusterSimulator cluster(data, config);
+    auto result = cluster.Run(plan->plan);
+    ASSERT_TRUE(result.ok()) << threads;
+    EXPECT_EQ(result->task_virtual_us.size(), result->num_tasks) << threads;
+    for (const WorkerSummary& w : result->workers) {
+      ASSERT_GT(w.tasks, 0u);
+      EXPECT_GT(w.totals.wall_seconds, 0.0) << threads;
+      EXPECT_GT(w.busy_virtual_us, 0.0) << threads;
+    }
+  }
+}
+
 TEST(ClusterTest, ExecutionThreadsClampedToHardware) {
   auto raw = GenerateBarabasiAlbert(80, 4, 3);
   ASSERT_TRUE(raw.ok());

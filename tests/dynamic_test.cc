@@ -2,15 +2,18 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <random>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/flags_util.h"
+#include "common/metrics.h"
 #include "core/executor.h"
 #include "core/match_consumer.h"
 #include "graph/generators.h"
@@ -18,6 +21,7 @@
 #include "plan/incremental.h"
 #include "plan/plan_generator.h"
 #include "plan/symmetry_breaking.h"
+#include "storage/db_cache.h"
 #include "storage/tcp_transport.h"
 #include "storage/transport.h"
 #include "storage/versioned_store.h"
@@ -117,11 +121,29 @@ void RunExactnessLoop(std::shared_ptr<Transport> transport,
   EXPECT_EQ(*baseline,
             ReferenceMatches(pattern, base.NumVertices(), edges).size());
 
+  // Seeded tasks per delta edge: one per plan whose anchored pair the
+  // pattern's symmetry-breaking order covers directly, two otherwise.
+  const std::vector<OrderConstraint> order =
+      ComputeSymmetryBreakingConstraints(pattern);
+  Count tasks_per_edge = 0;
+  for (const IncrementalPlan& inc : runner->incremental_plans().plans) {
+    const bool ordered =
+        std::find(order.begin(), order.end(),
+                  OrderConstraint{inc.anchor_u, inc.anchor_v}) !=
+            order.end() ||
+        std::find(order.begin(), order.end(),
+                  OrderConstraint{inc.anchor_v, inc.anchor_u}) != order.end();
+    tasks_per_edge += ordered ? 1 : 2;
+  }
+
   const auto stream = MakeStream(base, num_epochs, batch, seed);
   for (size_t e = 0; e < stream.size(); ++e) {
     auto report = runner->ApplyBatch(stream[e]);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_EQ(report->epoch, e + 1);
+    EXPECT_EQ(report->seed_tasks,
+              tasks_per_edge * (report->net_inserted + report->net_removed))
+        << "epoch " << e + 1;
     for (const EdgeDelta& op : stream[e]) {
       if (op.insert) {
         edges.insert(Norm(op.u, op.v));
@@ -294,6 +316,93 @@ TEST(VersionedStoreTest, CanonicalizeDropsNoopsAndChurn) {
   EXPECT_EQ(delta.touched, (std::vector<VertexId>{0, 1, 2}));
 }
 
+// The ordered-map canonicalization the sort-based one replaced, over an
+// edge set kept by the test: (presence before, presence after ops so
+// far) per normalized edge; the last op wins.
+EpochDelta ReferenceCanonicalize(const EdgeSet& present, uint64_t epoch,
+                                 const std::vector<EdgeDelta>& ops) {
+  EpochDelta delta;
+  delta.raw_ops = ops.size();
+  delta.epoch = epoch + 1;
+  std::map<std::pair<VertexId, VertexId>, std::pair<bool, bool>> state;
+  for (const EdgeDelta& op : ops) {
+    if (op.u == op.v) continue;
+    const auto key = Norm(op.u, op.v);
+    auto it = state.find(key);
+    if (it == state.end()) {
+      const bool was = present.count(key) != 0;
+      it = state.emplace(key, std::make_pair(was, was)).first;
+    }
+    it->second.second = op.insert;
+  }
+  std::set<VertexId> touched;
+  for (const auto& [key, presence] : state) {
+    if (presence.first == presence.second) continue;
+    (presence.second ? delta.inserted : delta.removed)
+        .push_back({key.first, key.second, presence.second});
+    touched.insert(key.first);
+    touched.insert(key.second);
+  }
+  delta.touched.assign(touched.begin(), touched.end());
+  return delta;
+}
+
+TEST(VersionedStoreTest, CanonicalizeMatchesOrderedMapReference) {
+  // A 12-vertex universe so random ops collide: duplicates, flip-flops
+  // in both orders, reversed endpoints and self-loops, over epochs whose
+  // earlier Applies leave edges in the overlay for later ops to hit.
+  const size_t n = 12;
+  Graph base = std::move(GenerateFromSpec("er:12,20,4")).value();
+  ASSERT_EQ(base.NumVertices(), n);
+  VersionedAdjacencyStore store(MakeSimulatedTransport(base, 3));
+  EdgeSet present = EdgesOf(base);
+  metrics::Counter* noop = metrics::MetricsRegistry::Global().GetCounter(
+      "store.epoch.ops_noop", "1",
+      "ops dropped as net no-ops by canonicalization");
+  std::mt19937_64 rng(99);
+  for (int epoch = 0; epoch < 40; ++epoch) {
+    std::vector<EdgeDelta> ops;
+    const size_t batch = 1 + rng() % 30;
+    while (ops.size() < batch) {
+      const VertexId u = static_cast<VertexId>(rng() % n);
+      const VertexId v = static_cast<VertexId>(rng() % n);
+      const bool insert = rng() % 2 == 0;
+      ops.push_back({u, v, insert});
+      switch (rng() % 5) {
+        case 0:  // duplicate, endpoints reversed
+          ops.push_back({v, u, insert});
+          break;
+        case 1:  // flip-flop: the opposite op right after
+          ops.push_back({v, u, !insert});
+          break;
+        case 2:  // flip-flop back: opposite, then the original again
+          ops.push_back({u, v, !insert});
+          ops.push_back({v, u, insert});
+          break;
+        default:
+          break;
+      }
+    }
+    if (epoch % 4 == 0) ops.push_back({ops[0].u, ops[0].u, true});
+    const EpochDelta expected =
+        ReferenceCanonicalize(present, store.epoch(), ops);
+    const EpochDelta got = store.Canonicalize(ops);
+    EXPECT_EQ(got.epoch, expected.epoch);
+    EXPECT_EQ(got.raw_ops, expected.raw_ops);
+    EXPECT_EQ(got.inserted, expected.inserted) << "epoch " << epoch;
+    EXPECT_EQ(got.removed, expected.removed) << "epoch " << epoch;
+    EXPECT_EQ(got.touched, expected.touched) << "epoch " << epoch;
+    const uint64_t noop_before = noop->Value();
+    store.Apply(got);
+    EXPECT_EQ(noop->Value() - noop_before,
+              expected.raw_ops - expected.inserted.size() -
+                  expected.removed.size());
+    for (const EdgeDelta& e : expected.inserted) present.insert({e.u, e.v});
+    for (const EdgeDelta& e : expected.removed) present.erase({e.u, e.v});
+  }
+  EXPECT_GT(store.overlay_vertices(), 0u);
+}
+
 TEST(VersionedStoreTest, SnapshotReadsComposeOverlay) {
   Graph g = std::move(Graph::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}})).value();
   VersionedAdjacencyStore store(MakeSimulatedTransport(g, 2));
@@ -360,6 +469,66 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.pattern) + "_" +
              std::to_string(info.index);
     });
+
+// Patterns whose anchored pairs are all ordered (triangle, clique4),
+// none ordered (path-3, star-3: automorphisms only swap non-adjacent
+// vertices) or a mix (square, diamond): the orientation skip must keep
+// every epoch's multiset exact either way.
+Graph SeededPassPattern(const std::string& name) {
+  if (name == "path-3") {
+    return std::move(Graph::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}})).value();
+  }
+  if (name == "star-3") {
+    return std::move(Graph::FromEdges(4, {{0, 1}, {0, 2}, {0, 3}})).value();
+  }
+  return std::move(GetPattern(name)).value();
+}
+
+TEST(SeededPassTest, OrientationSkipKeepsEveryEpochExact) {
+  Graph base = std::move(GenerateFromSpec("er:36,110,5")).value();
+  uint64_t seed = 31;
+  for (const char* name :
+       {"triangle", "square", "diamond", "path-3", "star-3", "clique4"}) {
+    SCOPED_TRACE(name);
+    RunExactnessLoop(MakeSimulatedTransport(base, 4), base,
+                     SeededPassPattern(name), /*num_epochs=*/6,
+                     /*batch=*/10, seed++);
+  }
+}
+
+TEST(SeededPassTest, AnchorOrderDecidesOrientations) {
+  // Triangle: symmetry breaking orders every vertex pair, so every
+  // anchored edge is tried in one orientation; star-3's order covers
+  // only non-adjacent leaves, so every anchored edge is tried in both.
+  // After the delta, one triangle ({1,2,3}) and three 3-stars (centred
+  // at 0, 1 and 3) contain a delta edge.
+  Graph base = std::move(Graph::FromEdges(
+                             5, {{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}}))
+                   .value();
+  const std::vector<EdgeDelta> delta = {{1, 3, true}, {0, 4, true}};
+  const EdgePatch patch(delta);
+  struct Case {
+    const char* name;
+    Count tasks_per_edge;
+    Count found;
+  };
+  for (const Case& c : {Case{"triangle", 3, 1}, Case{"star-3", 6, 3}}) {
+    SCOPED_TRACE(c.name);
+    const auto plans =
+        std::move(GenerateIncrementalPlans(SeededPassPattern(c.name)))
+            .value();
+    VersionedAdjacencyStore store(MakeSimulatedTransport(base, 2));
+    store.Apply(store.Canonicalize(delta));
+    DbCache cache(&store, 1 << 20, 2);
+    CachedAdjacencyProvider provider(&cache, store.num_vertices(), 0);
+    CollectingConsumer sink(plans.plans[0].plan);
+    auto pass = RunSeededPass(plans, &provider, delta, patch, &sink);
+    ASSERT_TRUE(pass.ok()) << pass.status().ToString();
+    EXPECT_EQ(pass->seed_tasks, c.tasks_per_edge * delta.size());
+    EXPECT_EQ(pass->found, c.found);
+    EXPECT_EQ(sink.matches().size(), c.found);
+  }
+}
 
 TEST(DynamicExactnessTest, TcpTransport) {
   // Real sockets against spawned benu_kv_server processes, one of them a

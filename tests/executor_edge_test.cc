@@ -7,6 +7,7 @@
 #include <string>
 
 #include "baselines/bruteforce.h"
+#include "common/metrics.h"
 #include "core/executor.h"
 #include "graph/generators.h"
 #include "graph/patterns.h"
@@ -171,7 +172,40 @@ TEST(ExecutorEdgeTest, StatsCountIntersectionsAndRequests) {
   TaskStats stats = (*executor)->RunTask(SearchTask{0, 0, 1}, &consumer);
   EXPECT_GT(stats.adjacency_requests, 0u);
   EXPECT_GT(stats.intersections, 0u);
-  EXPECT_GE(stats.wall_seconds, 0.0);
+}
+
+TEST(ExecutorEdgeTest, RunTaskLeavesTaskTimesToTheCaller) {
+  // RunTask reads no clock for the task times: an untraced task comes
+  // back with wall 0 and cpu -1 (the cluster runtime stamps both around
+  // its own call). A traced task still records executor.task.us.
+  Graph data = MakeClique(6);
+  Graph triangle = MakeClique(3);
+  auto plan = GenerateRawPlan(triangle, Identity(3),
+                              ComputeSymmetryBreakingConstraints(triangle));
+  ASSERT_TRUE(plan.ok());
+  DirectAdjacencyProvider provider(&data);
+  auto executor = PlanExecutor::Create(&plan.value(), &provider, nullptr);
+  ASSERT_TRUE(executor.ok());
+  CountingConsumer consumer(*plan);
+  metrics::Histogram* task_us =
+      metrics::MetricsRegistry::Global().GetHistogram(
+          "executor.task.us", "us", "wall time of one RunTask (traced)");
+  const bool was_traced = metrics::TracingEnabled();
+
+  metrics::SetTracingEnabled(false);
+  const uint64_t recorded = task_us->Count();
+  TaskStats untraced = (*executor)->RunTask(SearchTask{0, 0, 1}, &consumer);
+  EXPECT_GT(untraced.adjacency_requests, 0u);
+  EXPECT_EQ(untraced.wall_seconds, 0.0);
+  EXPECT_EQ(untraced.cpu_seconds, -1.0);
+  EXPECT_EQ(task_us->Count(), recorded);
+
+  metrics::SetTracingEnabled(true);
+  TaskStats traced = (*executor)->RunTask(SearchTask{0, 0, 1}, &consumer);
+  metrics::SetTracingEnabled(was_traced);
+  EXPECT_EQ(traced.wall_seconds, 0.0);
+  EXPECT_EQ(traced.cpu_seconds, -1.0);
+  EXPECT_EQ(task_us->Count(), recorded + 1);
 }
 
 TEST(ExecutorEdgeTest, ReusedExecutorIsStateless) {

@@ -9,6 +9,8 @@
 #include <fstream>
 #include <future>
 #include <map>
+#include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -19,6 +21,7 @@
 #include "common/metrics.h"
 #include "common/wire.h"
 #include "distributed/benu_driver.h"
+#include "distributed/dynamic_runner.h"
 #include "graph/generators.h"
 #include "graph/patterns.h"
 #include "service/query_engine.h"
@@ -762,6 +765,79 @@ TEST(QueryEngineSubscribeTest, IncrementalTotalsMatchRecompute) {
   EXPECT_TRUE(terminal.cancelled());
   EXPECT_EQ(terminal.matches, d2.total);
   EXPECT_EQ((*engine)->stats().subscriptions, 0u);
+  (*engine)->Drain();
+}
+
+TEST(QueryEngineSubscribeTest, DeltasMatchDynamicRunner) {
+  // Subscriptions and DynamicRunner run the same seeded pass: on one
+  // mixed insert/delete stream (duplicates and reversed endpoints
+  // included) every epoch's added/retracted/total agree, for a pattern
+  // whose anchored pairs are all ordered (triangle) and one with a mix
+  // (diamond).
+  const Graph data = std::move(GenerateErdosRenyi(60, 260, 53)).value();
+  const size_t n = data.NumVertices();
+  ServiceConfig config;
+  config.execution_threads = 1;
+  auto engine = QueryEngine::Create(data, config);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  const std::vector<std::string> patterns = {"triangle", "diamond"};
+  std::vector<std::unique_ptr<SubscribeSink>> sinks;
+  std::vector<uint64_t> ids;
+  std::vector<std::unique_ptr<DynamicRunner>> runners;
+  for (const std::string& name : patterns) {
+    sinks.push_back(std::make_unique<SubscribeSink>());
+    wire::QuerySpec spec;
+    spec.pattern = name;
+    spec.options = wire::kQuerySubscribe;
+    auto id = (*engine)->Submit(1, spec, sinks.back()->Done(), nullptr,
+                                sinks.back()->Delta());
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(*id);
+    auto runner = DynamicRunner::Create(MakeSimulatedTransport(data, 4),
+                                        std::move(GetPattern(name)).value());
+    ASSERT_TRUE(runner.ok()) << runner.status().ToString();
+    auto baseline = (*runner)->RunBaseline();
+    ASSERT_TRUE(baseline.ok());
+    EXPECT_EQ(sinks.back()->WaitFire(0).matches, *baseline) << name;
+    runners.push_back(std::move(runner).value());
+  }
+
+  EdgeSet edges = EdgesOf(data);
+  std::mt19937_64 rng(59);
+  for (uint64_t epoch = 1; epoch <= 5; ++epoch) {
+    std::vector<EdgeDelta> ops;
+    while (ops.size() < 24) {
+      const VertexId u = static_cast<VertexId>(rng() % n);
+      const VertexId v = static_cast<VertexId>(rng() % n);
+      if (u == v) continue;
+      const bool present = edges.count(Norm(u, v)) != 0;
+      ops.push_back({u, v, /*insert=*/!present});
+      if (rng() % 4 == 0) ops.push_back({v, u, !present});  // duplicate
+      if (present) {
+        edges.erase(Norm(u, v));
+      } else {
+        edges.insert(Norm(u, v));
+      }
+    }
+    ASSERT_TRUE((*engine)->StageDelta(epoch, ops).ok());
+    ASSERT_TRUE((*engine)->CommitEpoch(epoch).ok());
+    for (size_t i = 0; i < patterns.size(); ++i) {
+      SCOPED_TRACE(patterns[i] + " epoch " + std::to_string(epoch));
+      auto report = runners[i]->ApplyBatch(ops);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      const wire::MatchDelta d = sinks[i]->WaitDelta(epoch - 1);
+      EXPECT_EQ(d.epoch, epoch);
+      EXPECT_EQ(d.added, report->added);
+      EXPECT_EQ(d.retracted, report->retracted);
+      EXPECT_EQ(d.total, report->total);
+      EXPECT_EQ(d.total, Recount(patterns[i], n, edges));
+    }
+  }
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_TRUE((*engine)->Cancel(ids[i]));
+    sinks[i]->WaitFire(1);
+  }
   (*engine)->Drain();
 }
 
