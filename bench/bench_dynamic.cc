@@ -14,10 +14,6 @@
 //   --transport=sim|loopback|tcp   adjacency backend (default sim)
 //   --spawn-servers=K              TCP: fork K benu_kv_server children
 //                                  per sweep row (default 2)
-//   --v2-peer=1                    TCP: make the last spawned server a
-//                                  pre-delta peer (--deltas=0), proving
-//                                  the capability-bit downgrade keeps
-//                                  mid-stream kEpochAdvance exact
 //   --pattern=NAME                 pattern to maintain (default triangle)
 //   --kv-server-bin=PATH           benu_kv_server location (default:
 //                                  ../src/benu_kv_server next to this
@@ -135,7 +131,6 @@ int main(int argc, char** argv) {
       flags::Value(argc, argv, "--transport", "sim");
   const size_t spawn_servers =
       flags::SizeValue(argc, argv, "--spawn-servers", 2);
-  const bool v2_peer = flags::BoolValue(argc, argv, "--v2-peer", false);
   const std::string pattern_name =
       flags::Value(argc, argv, "--pattern", "triangle");
   const std::string kv_server_bin = flags::Value(
@@ -178,9 +173,6 @@ int main(int argc, char** argv) {
       opts.relabel = false;  // dynamic runs use raw ids as the total order
       for (size_t i = 0; i < spawn_servers; ++i) {
         opts.index = i;
-        // The v2 peer never sees kApplyDelta/kEpochAdvance; the client
-        // store downgrades it and composes snapshots locally.
-        opts.support_deltas = !(v2_peer && i + 1 == spawn_servers);
         servers.push_back(flags::SpawnKvServer(kv_server_bin, opts));
       }
       std::vector<Endpoint> endpoints;
@@ -197,19 +189,6 @@ int main(int argc, char** argv) {
 
     const SweepOutcome out = RunSweep(transport, base, pattern, num_epochs,
                                       batch, /*seed=*/29);
-    if (transport_name == "tcp" && v2_peer) {
-      // Probe the per-server capability split directly: one more
-      // kEpochAdvance must be acked by the delta-capable servers and
-      // downgraded on the v2 peer — while the sweep above already
-      // proved (via the per-epoch recounts) that the downgrade never
-      // changed a match.
-      auto push = transport->AdvanceEpoch(num_epochs + 1);
-      BENU_CHECK(push.ok()) << push.status().ToString();
-      BENU_CHECK(push->downgraded_servers == 1 &&
-                 push->acked_servers == spawn_servers - 1)
-          << "--v2-peer fleet: " << push->acked_servers << " acked, "
-          << push->downgraded_servers << " downgraded";
-    }
     transport.reset();
     flags::KillServers(servers);
 
@@ -232,8 +211,7 @@ int main(int argc, char** argv) {
                      {"pattern", pattern_name},
                      {"graph", graph_spec},
                      {"batch", std::to_string(batch)},
-                     {"epochs", std::to_string(num_epochs)},
-                     {"v2_peer", v2_peer ? "1" : "0"}};
+                     {"epochs", std::to_string(num_epochs)}};
     record.seconds = out.inc_seconds;
     record.counters = {
         {"recount_seconds", out.recount_seconds},

@@ -132,14 +132,12 @@ ServerProcess SpawnKvServer(const std::string& binary,
         "--replicas=" + std::to_string(options.replicas);
     const std::string compress_arg =
         std::string("--compress=") + (options.compress ? "1" : "0");
-    const std::string deltas_arg =
-        std::string("--deltas=") + (options.support_deltas ? "1" : "0");
     const std::string relabel_arg =
         std::string("--relabel=") + (options.relabel ? "1" : "0");
     execl(binary.c_str(), binary.c_str(), graph_arg.c_str(), part_arg.c_str(),
           servers_arg.c_str(), index_arg.c_str(), replica_arg.c_str(),
-          replicas_arg.c_str(), compress_arg.c_str(), deltas_arg.c_str(),
-          relabel_arg.c_str(), "--port=0", static_cast<char*>(nullptr));
+          replicas_arg.c_str(), compress_arg.c_str(), relabel_arg.c_str(),
+          "--port=0", static_cast<char*>(nullptr));
     std::perror("execl benu_kv_server");
     _exit(127);
   }

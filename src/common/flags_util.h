@@ -65,10 +65,6 @@ struct KvServerSpawnOptions {
   size_t replica = 0;
   size_t replicas = 1;
   bool compress = true;
-  /// Spawn a pre-delta (v2-equivalent) server: --deltas=0 makes it omit
-  /// kHelloSupportsDeltas and reject kApplyDelta/kEpochAdvance frames,
-  /// the downgrade path the dynamic-smoke CI job exercises.
-  bool support_deltas = true;
   bool relabel = true;
 };
 

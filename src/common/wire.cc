@@ -241,27 +241,14 @@ StatusOr<Frame> DecodeFrame(std::span<const uint8_t> buffer) {
   if (ReadU32(buffer.data()) != kMagic) {
     return Status::InvalidArgument("bad frame magic");
   }
-  Frame frame;
-  frame.header.version = buffer[4];
-  if (frame.header.version < kMinVersion || frame.header.version > kVersion) {
+  if (buffer[4] != kVersion) {
     return Status::InvalidArgument(
-        "unsupported wire version " + std::to_string(frame.header.version) +
-        " (speaking versions " + std::to_string(kMinVersion) + ".." +
-        std::to_string(kVersion) + ")");
+        "unsupported wire version " + std::to_string(buffer[4]) +
+        " (speaking version " + std::to_string(kVersion) + ")");
   }
+  Frame frame;
   frame.header.type = static_cast<MessageType>(buffer[5]);
   frame.header.flags = ReadU16(buffer.data() + 6);
-  if (frame.header.version < 2 &&
-      (frame.header.flags & kFlagEncodedPayload) != 0) {
-    return Status::InvalidArgument(
-        "version-1 frame carries the version-2 encoding flag");
-  }
-  if (frame.header.version < kMinServiceVersion &&
-      (IsServiceType(frame.header.type) || IsDeltaType(frame.header.type))) {
-    return Status::InvalidArgument(
-        "version-" + std::to_string(frame.header.version) +
-        " frame carries a version-3 service or delta type");
-  }
   frame.header.aux = ReadU32(buffer.data() + 8);
   frame.header.payload_bytes = ReadU32(buffer.data() + 12);
   if (buffer.size() < kHeaderBytes + frame.header.payload_bytes) {
@@ -285,12 +272,8 @@ Status DecodeAdjacencyReply(const Frame& frame, VertexId* key,
     return WrongType("kGetReply", frame);
   }
   if (FrameIsEncoded(frame)) {
-    // Transparent fallback so a raw-only caller still reads an encoded
-    // server's replies (full materialization, mixed-version path).
-    codec::EncodedSet encoded;
-    BENU_RETURN_IF_ERROR(DecodeEncodedAdjacencyReply(frame, key, &encoded));
-    codec::DecodeAll(encoded, out);
-    return Status::OK();
+    return Status::InvalidArgument(
+        "adjacency reply is delta+varint encoded, not raw");
   }
   if (frame.payload.size() % sizeof(VertexId) != 0) {
     return Status::InvalidArgument("adjacency payload not a multiple of 4");
@@ -347,27 +330,19 @@ StatusOr<HelloInfo> DecodeHelloReply(const Frame& frame) {
   if (frame.header.type != MessageType::kHelloReply) {
     return WrongType("kHelloReply", frame);
   }
-  if (frame.payload.size() != 16 && frame.payload.size() != 24 &&
-      frame.payload.size() != 32 && frame.payload.size() != 40) {
-    return Status::InvalidArgument(
-        "hello payload must be 16, 24, 32 or 40 bytes");
+  if (frame.payload.size() != 40) {
+    return Status::InvalidArgument("hello payload must be 40 bytes");
   }
   HelloInfo info;
   info.num_vertices = ReadU32(frame.payload.data());
   info.num_partitions = ReadU32(frame.payload.data() + 4);
   info.num_servers = ReadU32(frame.payload.data() + 8);
   info.server_index = ReadU32(frame.payload.data() + 12);
-  if (frame.payload.size() >= 24) {
-    info.replica_index = ReadU32(frame.payload.data() + 16);
-    info.num_replicas = ReadU32(frame.payload.data() + 20);
-  }
-  if (frame.payload.size() >= 32) {
-    info.flags = ReadU32(frame.payload.data() + 24);
-    info.graph_hash = ReadU32(frame.payload.data() + 28);
-  }
-  if (frame.payload.size() >= 40) {
-    info.epoch = ReadU64(frame.payload.data() + 32);
-  }
+  info.replica_index = ReadU32(frame.payload.data() + 16);
+  info.num_replicas = ReadU32(frame.payload.data() + 20);
+  info.flags = ReadU32(frame.payload.data() + 24);
+  info.graph_hash = ReadU32(frame.payload.data() + 28);
+  info.epoch = ReadU64(frame.payload.data() + 32);
   return info;
 }
 

@@ -14,7 +14,7 @@
 namespace benu::wire {
 
 // ---------------------------------------------------------------------
-// Versioned wire protocol of the distributed KV store (DESIGN.md §2f).
+// Wire protocol of the distributed KV store (DESIGN.md §2f).
 // Every message is one length-prefixed frame; a transport moves frames,
 // a KvPartitionServer interprets them. The loopback transport runs this
 // protocol in-process, the TCP transport over real sockets — both speak
@@ -24,7 +24,7 @@ namespace benu::wire {
 // Frame layout (little-endian):
 //
 //   offset  0  u32  magic          0x42454E55 ("BENU")
-//   offset  4  u8   version        kVersion
+//   offset  4  u8   version        kVersion (any other value is rejected)
 //   offset  5  u8   type           MessageType
 //   offset  6  u16  flags          request tag (see below; 0 = untagged)
 //   offset  8  u32  aux            type-specific immediate (see below)
@@ -40,24 +40,18 @@ namespace benu::wire {
 // means the stream is corrupt and the connection must be torn down).
 // Strict request/reply clients send tag 0 and ignore reply tags.
 //
-// Encoding flag (version 2): bit 15 of `flags` (kFlagEncodedPayload).
-// On a get/batch-get request it asks the server for delta+varint encoded
+// Encoding flag: bit 15 of `flags` (kFlagEncodedPayload). On a
+// get/batch-get request it asks the server for delta+varint encoded
 // payloads (graph/adj_codec.h); on a kGetReply it marks the payload as
 // `u32 count` followed by the varint stream instead of raw u32 entries.
-// A server that does not encode simply answers with raw replies (flag
-// clear), and clients dispatch on the reply's flag — so a version-2
-// client interoperates with a raw-only server and vice versa. Version-1
-// frames (still decoded) predate the flag and must leave bit 15 clear.
+// A server started without encoding answers with raw replies (flag
+// clear), and clients dispatch on the reply's flag.
 //
-// Query frames (version 3): the resident enumeration service
-// (src/service/) multiplexes many pattern queries over one connection
-// using the same 15-bit tag scheme the pipelined transport uses — the
-// tag names the query, chosen by the client, and every kQueryResult /
-// kProgress / kError frame the service emits for that query echoes it.
-// The four service frame types (kQueryRequest, kQueryResult,
-// kCancelRequest, kProgress) only exist in version 3; a v1/v2 frame
-// carrying one of them is rejected, while all v1/v2 KV frames are still
-// decoded unchanged.
+// Query frames: the resident enumeration service (src/service/)
+// multiplexes many pattern queries over one connection using the same
+// 15-bit tag scheme the pipelined transport uses — the tag names the
+// query, chosen by the client, and every kQueryResult / kProgress /
+// kError frame the service emits for that query echoes it.
 //
 // The 16-byte header is deliberately the simulator's modeled per-reply
 // overhead (DistributedKvStore::kReplyOverheadBytes): a raw adjacency
@@ -68,10 +62,6 @@ namespace benu::wire {
 
 inline constexpr uint32_t kMagic = 0x42454E55;  // "BENU"
 inline constexpr uint8_t kVersion = 3;
-/// Oldest version this build still decodes (raw-only frames).
-inline constexpr uint8_t kMinVersion = 1;
-/// Frames of the service types below require at least this version.
-inline constexpr uint8_t kMinServiceVersion = 3;
 inline constexpr size_t kHeaderBytes = 16;
 
 /// Bit 15 of `flags`: the frame's adjacency payload is delta+varint
@@ -81,14 +71,11 @@ inline constexpr uint16_t kFlagEncodedPayload = 0x8000;
 inline constexpr uint16_t kTagMask = 0x7FFF;
 
 enum class MessageType : uint8_t {
-  /// Handshake. Request: empty. Reply payload: u32 num_vertices,
-  /// u32 num_partitions, u32 num_servers, u32 server_index, then (since
-  /// the replica extension) u32 replica_index, u32 num_replicas, then
-  /// (since version 2) u32 capability flags (kHelloSupportsEncoded) and
-  /// u32 graph content hash, then (since the versioned-store extension)
-  /// u64 graph epoch. Decoders accept the legacy 16-, 24- and 32-byte
-  /// payloads and default to replica 0 of 1, no capabilities, hash 0,
-  /// epoch 0.
+  /// Handshake. Request: empty. Reply payload (exactly 40 bytes):
+  /// u32 num_vertices, u32 num_partitions, u32 num_servers,
+  /// u32 server_index, u32 replica_index, u32 num_replicas, u32 capability
+  /// flags (kHelloSupportsEncoded | kHelloSupportsQueries), u32 graph
+  /// content hash, u64 graph epoch.
   kHelloRequest = 1,
   kHelloReply = 2,
   /// Single get. Request: aux = key, empty payload (set
@@ -108,7 +95,7 @@ enum class MessageType : uint8_t {
   kStatsReply = 7,
   /// Error reply: aux = StatusCode, payload = UTF-8 message.
   kError = 8,
-  /// Pattern query (version 3, service protocol). The frame tag names
+  /// Pattern query (service protocol). The frame tag names
   /// the query on this connection. Request payload: u32 option flags
   /// (kQueryVcbc | kQueryDegreeFilter | kQueryWantProgress), u32 label
   /// count + i32 pattern labels, u32 name length + pattern name bytes
@@ -120,7 +107,7 @@ enum class MessageType : uint8_t {
   /// kQueryResultPlanCacheHit), u32 reserved (0). A rejected or failed
   /// query is answered with a tagged kError frame instead.
   kQueryResult = 10,
-  /// Cancels the in-flight query named by the frame tag (version 3).
+  /// Cancels the in-flight query named by the frame tag.
   /// Empty payload, aux = 0. Always answered — by the cancelled query's
   /// kQueryResult (kQueryResultCancelled set) if it was in flight, or by
   /// a tagged kError (kNotFound) if no such query exists. Cancelling a
@@ -133,12 +120,11 @@ enum class MessageType : uint8_t {
   /// frequency is a service knob, and the terminal kQueryResult may
   /// arrive without a final progress frame.
   kProgress = 12,
-  /// Replicates one epoch's edge-delta batch to a delta-capable server
-  /// (version 3, versioned-store protocol). Payload: u64 target epoch
-  /// (must be the server's epoch + 1), u32 op count, then per op
-  /// u32 u, u32 v, u32 flags (bit 0 set = insert, clear = delete).
-  /// Answered with kDeltaAck (or kError on an epoch mismatch). Only sent
-  /// to servers whose hello carries kHelloSupportsDeltas.
+  /// Replicates one epoch's edge-delta batch to a server (versioned-store
+  /// protocol). Payload: u64 target epoch (must be the server's
+  /// epoch + 1), u32 op count, then per op u32 u, u32 v, u32 flags
+  /// (bit 0 set = insert, clear = delete). Answered with kDeltaAck (or
+  /// kError on an epoch mismatch).
   kApplyDelta = 13,
   /// Commits a previously pushed delta batch: the server's epoch becomes
   /// the payload's u64 epoch (must be its current epoch + 1). Answered
@@ -153,30 +139,7 @@ enum class MessageType : uint8_t {
   kDeltaAck = 16,
 };
 
-/// True for the frame types introduced by the version-3 service
-/// protocol; DecodeFrame rejects these on frames older than
-/// kMinServiceVersion.
-constexpr bool IsServiceType(MessageType type) {
-  return type == MessageType::kQueryRequest ||
-         type == MessageType::kQueryResult ||
-         type == MessageType::kCancelRequest ||
-         type == MessageType::kProgress;
-}
-
-/// True for the frame types introduced by the version-3 versioned-store
-/// (dynamic graph) extension; like the service types, DecodeFrame
-/// rejects these on frames older than kMinServiceVersion. A v2 peer can
-/// therefore never be confused by a delta frame — clients check
-/// kHelloSupportsDeltas before sending any.
-constexpr bool IsDeltaType(MessageType type) {
-  return type == MessageType::kApplyDelta ||
-         type == MessageType::kEpochAdvance ||
-         type == MessageType::kMatchDelta ||
-         type == MessageType::kDeltaAck;
-}
-
 struct FrameHeader {
-  uint8_t version = kVersion;
   MessageType type = MessageType::kError;
   uint16_t flags = 0;
   uint32_t aux = 0;
@@ -202,15 +165,8 @@ inline constexpr uint32_t kHelloSupportsEncoded = 1u << 0;
 /// KV servers leave it clear; a client must not send query frames to a
 /// peer whose hello lacks it.
 inline constexpr uint32_t kHelloSupportsQueries = 1u << 1;
-/// HelloInfo capability bit: the peer tracks graph epochs and accepts
-/// kApplyDelta / kEpochAdvance frames (the versioned-store protocol).
-/// A peer without the bit (a v2 / pre-delta build) is served base
-/// payloads only and never sees a delta frame — the client-side overlay
-/// composes snapshots, so results are identical either way; the
-/// downgrade only loses the server-side epoch attestation.
-inline constexpr uint32_t kHelloSupportsDeltas = 1u << 2;
 
-// --- service protocol payloads (version 3) ----------------------------
+// --- service protocol payloads ------------------------------------------
 
 /// kQueryRequest option flag: run the VCBC compression rewrite on the
 /// generated plan (plan/plan_search.h `apply_vcbc`).
@@ -227,7 +183,7 @@ inline constexpr uint32_t kQueryWantProgress = 1u << 2;
 /// until the client cancels (terminal kQueryResult) or disconnects.
 /// Incompatible with kQueryVcbc (delta maintenance needs full matches).
 inline constexpr uint32_t kQuerySubscribe = 1u << 3;
-/// All option bits a version-3 decoder understands; unknown bits are
+/// All option bits the decoder understands; unknown bits are
 /// rejected so a future flag cannot be silently ignored.
 inline constexpr uint32_t kQueryKnownOptions =
     kQueryVcbc | kQueryDegreeFilter | kQueryWantProgress | kQuerySubscribe;
@@ -301,17 +257,16 @@ struct HelloInfo {
   uint32_t server_index = 0;
   uint32_t replica_index = 0;
   uint32_t num_replicas = 1;
-  /// Capability bits (kHelloSupportsEncoded). 0 on legacy payloads.
+  /// Capability bits (kHelloSupportsEncoded | kHelloSupportsQueries).
   uint32_t flags = 0;
   /// Folded Graph::ContentHash() of the graph the server serves, so a
   /// client that relabels locally can verify both sides agree on vertex
-  /// ids. 0 = unknown (legacy payloads).
+  /// ids.
   uint32_t graph_hash = 0;
   /// Graph epoch of the server's versioned store: the number of delta
   /// batches committed via kEpochAdvance. The attested graph identity is
   /// the pair (graph_hash, epoch) — graph_hash names the base labeling,
-  /// epoch the delta state on top of it. 0 on legacy (≤32-byte) payloads
-  /// and on servers without kHelloSupportsDeltas.
+  /// epoch the delta state on top of it.
   uint64_t epoch = 0;
 };
 
@@ -356,14 +311,14 @@ void AppendStatsRequest(std::vector<uint8_t>* out);
 void AppendStatsReply(const ServerStats& stats, std::vector<uint8_t>* out);
 void AppendError(StatusCode code, const std::string& message,
                  std::vector<uint8_t>* out);
-/// Service frames (version 3). The query tag is stamped separately with
+/// Service frames. The query tag is stamped separately with
 /// SetFrameTag, exactly like KV request tags.
 void AppendQueryRequest(const QuerySpec& spec, std::vector<uint8_t>* out);
 void AppendQueryResult(const QueryResultInfo& result,
                        std::vector<uint8_t>* out);
 void AppendCancelRequest(std::vector<uint8_t>* out);
 void AppendProgress(const QueryProgress& progress, std::vector<uint8_t>* out);
-/// Versioned-store frames (version 3). AppendApplyDelta carries one
+/// Versioned-store frames. AppendApplyDelta carries one
 /// epoch's edge ops; `epoch` is the target epoch the batch produces.
 void AppendApplyDelta(uint64_t epoch, std::span<const EdgeDelta> ops,
                       std::vector<uint8_t>* out);
@@ -391,14 +346,12 @@ void TagFrames(std::span<uint8_t> frames, uint16_t tag);
 // --- decoding ---------------------------------------------------------
 
 /// Decodes the frame at the front of `buffer` (which may hold a sequence
-/// of frames). Fails on short buffers, wrong magic, versions outside
-/// [kMinVersion, kVersion], a version-1 frame carrying the (version-2)
-/// encoding flag, or a pre-version-3 frame carrying a service or
-/// versioned-store (delta) type.
+/// of frames). Fails on short buffers, wrong magic, a version byte other
+/// than kVersion, or a truncated payload.
 StatusOr<Frame> DecodeFrame(std::span<const uint8_t> buffer);
 
-/// True iff the frame's payload is delta+varint encoded (version-2
-/// encoding flag). Callers dispatch between DecodeAdjacencyReply and
+/// True iff the frame's payload is delta+varint encoded (the encoding
+/// flag). Callers dispatch between DecodeAdjacencyReply and
 /// DecodeEncodedAdjacencyReply on this.
 inline bool FrameIsEncoded(const Frame& frame) {
   return (frame.header.flags & kFlagEncodedPayload) != 0;
@@ -406,7 +359,7 @@ inline bool FrameIsEncoded(const Frame& frame) {
 
 /// Typed payload decoders. Each validates the frame's type and payload
 /// shape. DecodeAdjacencyReply appends the entries to `*out` (cleared
-/// first) and returns the key via `*key`.
+/// first) and returns the key via `*key`; it rejects encoded replies.
 StatusOr<VertexId> DecodeGetRequest(const Frame& frame);
 Status DecodeAdjacencyReply(const Frame& frame, VertexId* key,
                             VertexSet* out);
@@ -420,7 +373,7 @@ StatusOr<HelloInfo> DecodeHelloReply(const Frame& frame);
 StatusOr<ServerStats> DecodeStatsReply(const Frame& frame);
 /// Converts a kError frame back into the Status it carries.
 Status DecodeError(const Frame& frame);
-/// Service payload decoders (version 3). DecodeQueryRequest validates
+/// Service payload decoders. DecodeQueryRequest validates
 /// shape only — option bits outside kQueryKnownOptions, truncated label
 /// or name runs, and oversized names are rejected here; whether the
 /// pattern name exists in the catalog is the service's business.
@@ -430,7 +383,7 @@ StatusOr<QueryResultInfo> DecodeQueryResult(const Frame& frame);
 /// frame's tag.
 Status DecodeCancelRequest(const Frame& frame);
 StatusOr<QueryProgress> DecodeProgress(const Frame& frame);
-/// Versioned-store payload decoders (version 3). DecodeApplyDelta
+/// Versioned-store payload decoders. DecodeApplyDelta
 /// returns the target epoch via `*epoch` and appends the ops to `*ops`
 /// (cleared first); it bounds the op count against the payload size, so
 /// a hostile count cannot over-allocate.

@@ -32,20 +32,9 @@ StatusOr<BenuResult> RunBenu(const Graph& data_graph, const Graph& pattern,
     // caller relabeled only one side) every fetch would silently return
     // the wrong adjacency set. The transport's hello handshake carries a
     // folded content hash of the graph it stores — validate the labeling
-    // the enumeration actually uses (post-relabel) against it. A hash of
-    // 0 means the transport cannot attest its labeling (legacy server);
-    // relabeling is then refused rather than trusted blindly.
-    const uint32_t remote_hash = options.cluster.transport->graph_hash();
-    const uint32_t local_hash = relabeled.FoldedContentHash();
-    if (remote_hash == 0) {
-      if (options.relabel_by_degree) {
-        return Status::InvalidArgument(
-            "relabel_by_degree needs a transport that attests its graph "
-            "labeling (hello graph hash), but this one reports none: "
-            "relabel the graph first, build the transport from the "
-            "relabeled graph, and set relabel_by_degree = false");
-      }
-    } else if (remote_hash != local_hash) {
+    // the enumeration actually uses (post-relabel) against it.
+    if (options.cluster.transport->graph_hash() !=
+        relabeled.FoldedContentHash()) {
       return Status::InvalidArgument(
           options.relabel_by_degree
               ? "relabel_by_degree produced a labeling the transport does "

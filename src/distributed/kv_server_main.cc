@@ -10,7 +10,7 @@
 //
 //   benu_kv_server --graph=ba:200,5,21 --partitions=8 --servers=2 \
 //       --index=0 [--port=0] [--relabel=1] [--replica=0 --replicas=1] \
-//       [--compress=1] [--deltas=1]
+//       [--compress=1]
 //
 // --replica/--replicas identify this process among interchangeable
 // replicas of the same server index (clients fail over between them);
@@ -46,10 +46,6 @@ int main(int argc, char** argv) {
   // --compress=0 serves raw frames only (no encoded-reply capability in
   // the hello); also subject to the BENU_DISABLE_COMPRESSION env switch.
   const bool compress = flags::BoolValue(argc, argv, "--compress", true);
-  // --deltas=0 runs a pre-delta (v2-era) server: no kHelloSupportsDeltas
-  // capability, kApplyDelta/kEpochAdvance rejected — clients downgrade
-  // around it (dynamic-smoke exercises this).
-  const bool deltas = flags::BoolValue(argc, argv, "--deltas", true);
 
   auto graph_or = GenerateFromSpec(graph_spec);
   BENU_CHECK(graph_or.ok()) << "--graph=" << graph_spec << ": "
@@ -58,7 +54,7 @@ int main(int argc, char** argv) {
                         : std::move(graph_or).value();
 
   KvTcpServer server(&graph, partitions, servers, index, replica, replicas,
-                     compress, deltas);
+                     compress);
   auto listen = server.Listen(port);
   BENU_CHECK(listen.ok()) << listen.ToString();
   auto start = server.Start();

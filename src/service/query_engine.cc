@@ -111,16 +111,7 @@ StatusOr<std::unique_ptr<QueryEngine>> QueryEngine::Create(
     // its hello graph hash) that it stores the labeling the engine will
     // enumerate under, or every fetch would silently return the wrong
     // adjacency set.
-    const uint32_t remote_hash = transport->graph_hash();
-    const uint32_t local_hash = relabeled.FoldedContentHash();
-    if (remote_hash == 0) {
-      if (config.relabel_by_degree) {
-        return Status::InvalidArgument(
-            "relabel_by_degree needs a transport that attests its graph "
-            "labeling (hello graph hash): relabel the graph first, build "
-            "the transport from it, and disable relabel_by_degree");
-      }
-    } else if (remote_hash != local_hash) {
+    if (transport->graph_hash() != relabeled.FoldedContentHash()) {
       return Status::InvalidArgument(
           "transport stores a differently-labeled graph (hash mismatch): "
           "serve the degree-relabeled graph (benu_kv_server --relabel=1) "

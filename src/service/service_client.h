@@ -17,8 +17,8 @@
 
 namespace benu::service {
 
-/// Blocking client for the resident enumeration service (version-3 wire
-/// protocol, docs/wire-protocol.md). One TCP connection, many queries in
+/// Blocking client for the resident enumeration service (wire protocol,
+/// docs/wire-protocol.md). One TCP connection, many queries in
 /// flight: each StartQuery() is stamped with a fresh 15-bit tag and a
 /// background reader thread demultiplexes kQueryResult / kProgress /
 /// kError frames back to the waiting caller by tag.

@@ -1,7 +1,7 @@
 // benu_service: the resident enumeration service. Loads (generates) one
 // data graph, builds the shared substrate (store + DbCache + execution
-// pool + memory governor) and serves version-3 query frames over TCP
-// until terminated. docs/service.md is the operator guide.
+// pool + memory governor) and serves query frames over TCP until
+// terminated. docs/service.md is the operator guide.
 //
 //   --graph=SPEC            data graph (graph/generators.h spec syntax)
 //   --port=N                listen port (0 = ephemeral; the chosen port

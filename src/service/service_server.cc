@@ -193,7 +193,7 @@ bool ServiceTcpServer::HandleFrame(Conn& conn, const uint8_t* data,
       info.num_partitions = static_cast<uint32_t>(engine_->num_partitions());
       info.num_servers = 1;
       info.server_index = 0;
-      info.flags = wire::kHelloSupportsQueries | wire::kHelloSupportsDeltas;
+      info.flags = wire::kHelloSupportsQueries;
       info.graph_hash = engine_->relabeled_graph().FoldedContentHash();
       info.epoch = engine_->epoch();
       std::vector<uint8_t> reply;

@@ -16,7 +16,7 @@ namespace benu::service {
 
 /// TCP front end of the resident enumeration service: a single-threaded
 /// epoll event loop (modeled on storage/kv_tcp_server.h) that speaks the
-/// version-3 service protocol (common/wire.h). Each connection is one
+/// service protocol (common/wire.h). Each connection is one
 /// fairness session; the 15-bit frame tag names a query within it, so
 /// one connection can hold many queries in flight and demux their
 /// kQueryResult / kProgress / kError frames by tag.

@@ -11,8 +11,7 @@ KvPartitionServer::KvPartitionServer(const Graph* graph,
                                      size_t num_servers, size_t server_index,
                                      size_t replica_index,
                                      size_t num_replicas,
-                                     bool support_encoding,
-                                     bool support_deltas)
+                                     bool support_encoding)
     : graph_(graph),
       num_partitions_(num_partitions == 0 ? 1 : num_partitions),
       num_servers_(num_servers == 0 ? 1 : num_servers),
@@ -20,7 +19,6 @@ KvPartitionServer::KvPartitionServer(const Graph* graph,
       replica_index_(replica_index),
       num_replicas_(num_replicas == 0 ? 1 : num_replicas),
       support_encoding_(codec::CompressionEnabled(support_encoding)),
-      support_deltas_(support_deltas),
       graph_hash_(graph->FoldedContentHash()) {
   BENU_CHECK(server_index_ < num_servers_)
       << "server index " << server_index_ << " out of range (servers: "
@@ -91,8 +89,7 @@ void KvPartitionServer::HandleFrame(std::span<const uint8_t> frame,
       info.server_index = static_cast<uint32_t>(server_index_);
       info.replica_index = static_cast<uint32_t>(replica_index_);
       info.num_replicas = static_cast<uint32_t>(num_replicas_);
-      info.flags = (support_encoding_ ? wire::kHelloSupportsEncoded : 0) |
-                   (support_deltas_ ? wire::kHelloSupportsDeltas : 0);
+      info.flags = support_encoding_ ? wire::kHelloSupportsEncoded : 0;
       info.graph_hash = graph_hash_;
       info.epoch = epoch_.load(std::memory_order_acquire);
       wire::AppendHelloReply(info, out);
@@ -131,11 +128,6 @@ void KvPartitionServer::HandleFrame(std::span<const uint8_t> frame,
       wire::AppendStatsReply(stats(), out);
       break;
     case wire::MessageType::kApplyDelta: {
-      if (!support_deltas_) {
-        wire::AppendError(StatusCode::kFailedPrecondition,
-                          "server does not support deltas", out);
-        break;
-      }
       uint64_t target = 0;
       std::vector<EdgeDelta> ops;
       auto st = wire::DecodeApplyDelta(*decoded, &target, &ops);
@@ -153,16 +145,10 @@ void KvPartitionServer::HandleFrame(std::span<const uint8_t> frame,
                           out);
         break;
       }
-      deltas_applied_.fetch_add(ops.size(), std::memory_order_relaxed);
       wire::AppendDeltaAck(target, out);
       break;
     }
     case wire::MessageType::kEpochAdvance: {
-      if (!support_deltas_) {
-        wire::AppendError(StatusCode::kFailedPrecondition,
-                          "server does not support deltas", out);
-        break;
-      }
       auto target = wire::DecodeEpochAdvance(*decoded);
       if (!target.ok()) {
         wire::AppendError(target.status().code(), target.status().message(),

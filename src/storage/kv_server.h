@@ -40,15 +40,12 @@ class KvPartitionServer {
   /// codec::CompressionEnabled) the server pre-encodes its partition
   /// share once here and answers encoding-flagged requests with
   /// delta+varint replies, advertising the capability in its hello.
-  /// With `support_deltas` the server additionally accepts
-  /// kApplyDelta/kEpochAdvance frames and attests the committed epoch in
-  /// its hello (kHelloSupportsDeltas); without it those frames get a
-  /// kError reply — the pre-delta (v2-era) behavior clients downgrade
-  /// around.
+  /// Every server accepts kApplyDelta/kEpochAdvance frames and attests
+  /// the committed epoch in its hello.
   KvPartitionServer(const Graph* graph, size_t num_partitions,
                     size_t num_servers, size_t server_index,
                     size_t replica_index = 0, size_t num_replicas = 1,
-                    bool support_encoding = true, bool support_deltas = true);
+                    bool support_encoding = true);
 
   /// Handles one request frame, appending the reply frame(s) to `out`.
   /// Malformed frames, unknown types and out-of-scope keys produce a
@@ -75,7 +72,6 @@ class KvPartitionServer {
   size_t replica_index() const { return replica_index_; }
   size_t num_replicas() const { return num_replicas_; }
   bool supports_encoding() const { return support_encoding_; }
-  bool supports_deltas() const { return support_deltas_; }
 
   /// Last committed epoch (kEpochAdvance); 0 = pristine base graph.
   /// Servers store the base payloads immutably — the epoch is an
@@ -96,12 +92,10 @@ class KvPartitionServer {
   size_t replica_index_;
   size_t num_replicas_;
   bool support_encoding_;
-  bool support_deltas_;
   uint32_t graph_hash_;
   /// Committed epoch: kApplyDelta validates its target is epoch()+1,
   /// kEpochAdvance commits it.
   std::atomic<uint64_t> epoch_{0};
-  std::atomic<uint64_t> deltas_applied_{0};
   /// Pre-encoded partition share, indexed by vertex id (only served
   /// vertices are populated). Encoded once at construction; HandleFrame
   /// serves these bytes without re-encoding.

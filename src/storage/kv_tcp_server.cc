@@ -33,10 +33,9 @@ constexpr uint32_t kMaxPayload = 1u << 30;
 KvTcpServer::KvTcpServer(const Graph* graph, size_t num_partitions,
                          size_t num_servers, size_t server_index,
                          size_t replica_index, size_t num_replicas,
-                         bool support_encoding, bool support_deltas)
+                         bool support_encoding)
     : server_(graph, num_partitions, num_servers, server_index,
-              replica_index, num_replicas, support_encoding,
-              support_deltas) {}
+              replica_index, num_replicas, support_encoding) {}
 
 KvTcpServer::~KvTcpServer() { Stop(); }
 

@@ -31,14 +31,10 @@ class KvTcpServer {
   /// partition share (reported in the hello handshake).
   /// `support_encoding` forwards to KvPartitionServer: pre-encode the
   /// share and answer encoding-flagged requests with delta+varint
-  /// replies (subject to codec::CompressionEnabled). `support_deltas`
-  /// likewise forwards: accept kApplyDelta/kEpochAdvance and attest the
-  /// epoch (false spawns a pre-delta v2-era server — the downgrade case
-  /// the dynamic-smoke CI job exercises).
+  /// replies (subject to codec::CompressionEnabled).
   KvTcpServer(const Graph* graph, size_t num_partitions, size_t num_servers,
               size_t server_index, size_t replica_index = 0,
-              size_t num_replicas = 1, bool support_encoding = true,
-              bool support_deltas = true);
+              size_t num_replicas = 1, bool support_encoding = true);
   ~KvTcpServer();
 
   KvTcpServer(const KvTcpServer&) = delete;

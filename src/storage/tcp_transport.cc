@@ -454,21 +454,11 @@ class ServerChannel {
             ep.host + ":" + std::to_string(ep.port) +
             " lacks the encoded-reply capability the cluster advertised");
       }
-      if (have_expected_ && expected_.graph_hash != 0 &&
-          hello->graph_hash != 0 &&
-          hello->graph_hash != expected_.graph_hash) {
+      if (have_expected_ && hello->graph_hash != expected_.graph_hash) {
         net::CloseFd(*fd);
         return Status::InvalidArgument(
             ep.host + ":" + std::to_string(ep.port) +
             " serves a different graph labeling (content-hash mismatch)");
-      }
-      if (have_expected_ &&
-          (expected_.flags & wire::kHelloSupportsDeltas) != 0 &&
-          (hello->flags & wire::kHelloSupportsDeltas) == 0) {
-        net::CloseFd(*fd);
-        return Status::InvalidArgument(
-            ep.host + ":" + std::to_string(ep.port) +
-            " lacks the delta capability the cluster advertised");
       }
       if (have_expected_ && hello->epoch > expected_.epoch) {
         net::CloseFd(*fd);
@@ -616,12 +606,10 @@ class TcpTransport final : public Transport {
  public:
   TcpTransport(std::shared_ptr<TcpCounters> counters,
                std::vector<std::unique_ptr<ServerChannel>> channels,
-               std::vector<uint8_t> delta_capable,
                const wire::HelloInfo& layout,
                const TcpTransportOptions& options, bool compress)
       : counters_(std::move(counters)),
         channels_(std::move(channels)),
-        delta_capable_(std::move(delta_capable)),
         layout_(layout),
         opt_(options),
         compress_(compress) {
@@ -780,35 +768,26 @@ class TcpTransport final : public Transport {
   }
 
  private:
-  /// Sends one delta frame to every delta-capable channel (pipelined:
-  /// all submits, then all awaits) and requires a kDeltaAck echoing
-  /// `epoch` from each. Channels whose server lacks the capability are
-  /// skipped and counted as downgraded — base fetches keep working
-  /// there, only the epoch attestation is lost. With `commit` the acked
-  /// epoch becomes part of each channel's reconnect-validated identity.
+  /// Sends one delta frame to every channel (pipelined: all submits, then
+  /// all awaits) and requires a kDeltaAck echoing `epoch` from each. With
+  /// `commit` the acked epoch becomes part of each channel's
+  /// reconnect-validated identity.
   StatusOr<DeltaPushResult> BroadcastDeltaFrame(
       const std::vector<uint8_t>& request, uint64_t epoch, bool commit) {
     DeltaPushResult result;
-    std::vector<std::unique_ptr<PendingCall>> calls(channels_.size());
+    std::vector<PendingCall> calls(channels_.size());
     for (size_t c = 0; c < channels_.size(); ++c) {
-      if (!delta_capable_[c]) {
-        ++result.downgraded_servers;
-        continue;
-      }
-      calls[c] = std::make_unique<PendingCall>();
-      calls[c]->request = request;
-      calls[c]->expected_frames = 1;
-      channels_[c]->Submit(calls[c].get());
+      calls[c].request = request;
+      channels_[c]->Submit(&calls[c]);
     }
     // Await everything before inspecting anything, so an early error
     // return cannot leave a call in flight pointing at dead stack.
     for (size_t c = 0; c < channels_.size(); ++c) {
-      if (calls[c] != nullptr) channels_[c]->Await(calls[c].get());
+      channels_[c]->Await(&calls[c]);
     }
     for (size_t c = 0; c < channels_.size(); ++c) {
-      if (calls[c] == nullptr) continue;
-      BENU_RETURN_IF_ERROR(calls[c]->status);
-      auto frame = DecodeSingleFrame(*calls[c]);
+      BENU_RETURN_IF_ERROR(calls[c].status);
+      auto frame = DecodeSingleFrame(calls[c]);
       BENU_RETURN_IF_ERROR(frame.status());
       if (frame->header.type == wire::MessageType::kError) {
         return wire::DecodeError(*frame);
@@ -946,8 +925,6 @@ class TcpTransport final : public Transport {
 
   const std::shared_ptr<TcpCounters> counters_;
   std::vector<std::unique_ptr<ServerChannel>> channels_;
-  /// Per-channel: did that server's hello advertise kHelloSupportsDeltas.
-  const std::vector<uint8_t> delta_capable_;
   const wire::HelloInfo layout_;
   const TcpTransportOptions opt_;
   /// Effective compression: requested AND every server capable AND the
@@ -972,17 +949,13 @@ StatusOr<std::shared_ptr<Transport>> ConnectTcpTransport(
   auto counters = std::make_shared<TcpCounters>();
   std::vector<std::unique_ptr<ServerChannel>> channels;
   wire::HelloInfo layout;
-  // Encoded replies need every server to support them; one legacy server
-  // in the fleet downgrades the whole transport to raw (correct either
+  // Encoded replies need every server to support them; one server started
+  // with --compress=0 switches the whole transport to raw (correct either
   // way — compression only changes the bytes on the wire).
   bool all_support_encoding = true;
-  // Delta pushes are per-server: capable servers attest epochs, legacy
-  // (pre-delta) peers are skipped — no all-or-nothing downgrade needed
-  // because snapshots are composed client-side (versioned_store.h).
-  std::vector<uint8_t> delta_capable;
   // Each server's own attested epoch: reconnect validation allows a
   // replica to attest an older epoch (fresh process) but never a newer
-  // one, so the expectation must be per server, like the capability bit.
+  // one, so the expectation must be per server.
   std::vector<uint64_t> attested_epochs;
   for (size_t i = 0; i < groups.size(); ++i) {
     channels.push_back(std::make_unique<ServerChannel>(
@@ -992,8 +965,6 @@ StatusOr<std::shared_ptr<Transport>> ConnectTcpTransport(
     if ((hello->flags & wire::kHelloSupportsEncoded) == 0) {
       all_support_encoding = false;
     }
-    delta_capable.push_back(
-        (hello->flags & wire::kHelloSupportsDeltas) != 0 ? 1 : 0);
     attested_epochs.push_back(hello->epoch);
     if (i == 0) {
       layout = *hello;
@@ -1002,8 +973,7 @@ StatusOr<std::shared_ptr<Transport>> ConnectTcpTransport(
       return Status::InvalidArgument(
           "replica group " + std::to_string(i) +
           " disagrees on the graph layout (vertices/partitions)");
-    } else if (layout.graph_hash != 0 && hello->graph_hash != 0 &&
-               hello->graph_hash != layout.graph_hash) {
+    } else if (hello->graph_hash != layout.graph_hash) {
       return Status::InvalidArgument(
           "replica group " + std::to_string(i) +
           " serves a different graph labeling (content-hash mismatch)");
@@ -1019,20 +989,12 @@ StatusOr<std::shared_ptr<Transport>> ConnectTcpTransport(
     layout.flags &= ~wire::kHelloSupportsEncoded;
   }
   for (size_t i = 0; i < channels.size(); ++i) {
-    // Delta capability is per server, so each channel validates against
-    // its own server's advertisement, not the fleet consensus.
     wire::HelloInfo expected = layout;
-    if (delta_capable[i]) {
-      expected.flags |= wire::kHelloSupportsDeltas;
-    } else {
-      expected.flags &= ~wire::kHelloSupportsDeltas;
-    }
     expected.epoch = attested_epochs[i];
     channels[i]->SetExpectedLayout(expected);
   }
   return std::shared_ptr<Transport>(std::make_shared<TcpTransport>(
-      std::move(counters), std::move(channels), std::move(delta_capable),
-      layout, options, compress));
+      std::move(counters), std::move(channels), layout, options, compress));
 }
 
 StatusOr<std::shared_ptr<Transport>> ConnectTcpTransport(

@@ -120,8 +120,8 @@ class Transport {
 
   /// Folded 32-bit Graph::ContentHash() of the graph this transport
   /// serves, so a client can verify it agrees with the servers on
-  /// vertex ids (degree relabeling). 0 = unknown.
-  virtual uint32_t graph_hash() const { return 0; }
+  /// vertex ids (degree relabeling).
+  virtual uint32_t graph_hash() const = 0;
 
   /// True iff replies travel delta+varint encoded on this transport.
   virtual bool compressed() const { return false; }
@@ -137,17 +137,12 @@ class Transport {
 
   /// Outcome of replicating one epoch delta to the backend's servers.
   struct DeltaPushResult {
-    /// Delta-capable servers that acknowledged the frame (kDeltaAck).
+    /// Servers that acknowledged the frame (kDeltaAck).
     size_t acked_servers = 0;
-    /// Connected pre-delta (v2-era) peers the frame was *not* sent to —
-    /// the capability-bit downgrade. Results stay correct because
-    /// snapshots are composed client-side (versioned_store.h); only the
-    /// servers' epoch attestation is lost.
-    size_t downgraded_servers = 0;
   };
 
-  /// Replicates the net edge delta producing `epoch` to every
-  /// delta-capable server (wire kApplyDelta). Servers keep serving the
+  /// Replicates the net edge delta producing `epoch` to every server
+  /// (wire kApplyDelta). Servers keep serving the
   /// *base* payloads unchanged; the frame only advances their attested
   /// epoch, which reconnect validation checks alongside graph_hash.
   /// Default: no servers to inform (in-process backends).
@@ -158,7 +153,7 @@ class Transport {
     return DeltaPushResult{};
   }
 
-  /// Marks `epoch` committed on every delta-capable server (wire
+  /// Marks `epoch` committed on every server (wire
   /// kEpochAdvance) after its kApplyDelta was acked. Default: no-op.
   virtual StatusOr<DeltaPushResult> AdvanceEpoch(uint64_t epoch) {
     (void)epoch;

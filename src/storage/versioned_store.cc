@@ -49,9 +49,6 @@ VersionedAdjacencyStore::VersionedAdjacencyStore(
   patched_reads_metric_ =
       reg.GetCounter("store.epoch.patched_reads", "1",
                      "adjacency reads served through the overlay");
-  downgraded_pushes_metric_ = reg.GetCounter(
-      "store.epoch.downgraded_pushes", "1",
-      "delta pushes skipped for pre-delta peers (capability downgrade)");
   epoch_gauge_ =
       reg.GetGauge("store.epoch.current", "1", "current store epoch");
   overlay_gauge_ = reg.GetGauge("store.epoch.overlay_vertices", "1",
@@ -178,7 +175,6 @@ uint64_t VersionedAdjacencyStore::Apply(const EpochDelta& delta) {
                         delta.removed.size());
   edges_inserted_metric_->Add(delta.inserted.size());
   edges_removed_metric_->Add(delta.removed.size());
-  downgraded_pushes_metric_->Add(push->downgraded_servers);
   epoch_gauge_->Set(static_cast<double>(delta.epoch));
   return delta.epoch;
 }

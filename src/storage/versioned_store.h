@@ -55,10 +55,8 @@ struct EpochDelta {
 /// Epoch protocol: Canonicalize(ops) → enumerate retractions against the
 /// current snapshot → Apply(delta) → enumerate additions against the new
 /// snapshot (distributed/dynamic_runner.cc drives this). Apply also
-/// replicates the delta to delta-capable KV servers (kApplyDelta /
-/// kEpochAdvance) so their attested (graph_hash, epoch) identity tracks
-/// the client's — pre-delta peers are skipped (capability downgrade)
-/// without affecting results.
+/// replicates the delta to the KV servers (kApplyDelta / kEpochAdvance)
+/// so their attested (graph_hash, epoch) identity tracks the client's.
 ///
 /// Thread-safe: reads take a shared lock; Apply takes an exclusive lock.
 /// Prefetch-pool threads may race Apply, which is why DbCache tags
@@ -133,7 +131,6 @@ class VersionedAdjacencyStore : public DistributedKvStore {
   metrics::Counter* edges_inserted_metric_ = nullptr;
   metrics::Counter* edges_removed_metric_ = nullptr;
   metrics::Counter* patched_reads_metric_ = nullptr;
-  metrics::Counter* downgraded_pushes_metric_ = nullptr;
   metrics::Gauge* epoch_gauge_ = nullptr;
   metrics::Gauge* overlay_gauge_ = nullptr;
 };

@@ -531,9 +531,8 @@ TEST(SeededPassTest, AnchorOrderDecidesOrientations) {
 }
 
 TEST(DynamicExactnessTest, TcpTransport) {
-  // Real sockets against spawned benu_kv_server processes, one of them a
-  // pre-delta (--deltas=0) peer: the capability downgrade must not change
-  // a single match.
+  // Real sockets against two spawned benu_kv_server processes: every
+  // epoch's delta reaches both servers and no match changes.
   Graph base = std::move(GenerateFromSpec("er:32,80,3")).value();
   Graph pattern = std::move(GetPattern("q5")).value();
 
@@ -543,12 +542,10 @@ TEST(DynamicExactnessTest, TcpTransport) {
   opts.servers = 2;
   opts.relabel = false;  // dynamic runs use raw ids as the total order
   std::vector<flags::ServerProcess> servers;
-  opts.index = 0;
-  opts.support_deltas = true;
-  servers.push_back(flags::SpawnKvServer(BENU_KV_SERVER_BIN, opts));
-  opts.index = 1;
-  opts.support_deltas = false;  // the v2-era peer
-  servers.push_back(flags::SpawnKvServer(BENU_KV_SERVER_BIN, opts));
+  for (size_t i = 0; i < opts.servers; ++i) {
+    opts.index = i;
+    servers.push_back(flags::SpawnKvServer(BENU_KV_SERVER_BIN, opts));
+  }
 
   std::vector<Endpoint> endpoints;
   for (const auto& s : servers) {
@@ -557,19 +554,16 @@ TEST(DynamicExactnessTest, TcpTransport) {
   auto transport = ConnectTcpTransport(endpoints);
   ASSERT_TRUE(transport.ok()) << transport.status().ToString();
 
-  // Every epoch's Apply replicates the delta mid-stream: the capable
-  // server attests it, the v2 peer is skipped — results must be exact
-  // either way since snapshots are composed client-side.
+  // Every epoch's Apply replicates the delta mid-stream and both servers
+  // attest it; snapshots are composed client-side, so results are exact.
   RunExactnessLoop(*transport, base, pattern, /*num_epochs=*/4,
                    /*batch=*/6, 23);
 
-  // The mixed fleet reports exactly one downgraded peer per delta push.
-  // The capable server attested epochs 1..4 during the loop; advancing
-  // it to 5 directly probes the per-server capability split.
+  // Both servers attested epochs 1..4 during the loop; advancing them to
+  // 5 directly must be acked by each.
   auto push = (*transport)->AdvanceEpoch(5);
   ASSERT_TRUE(push.ok()) << push.status().ToString();
-  EXPECT_EQ(push->acked_servers, 1u);
-  EXPECT_EQ(push->downgraded_servers, 1u);
+  EXPECT_EQ(push->acked_servers, 2u);
 
   // A reconnecting client that matches the servers' attested state is
   // accepted; the fleet stays reachable after the delta stream.

@@ -1,4 +1,4 @@
-// Tests of the resident enumeration service: version-3 wire frames, the
+// Tests of the resident enumeration service: service wire frames, the
 // documented protocol constants (docs/wire-protocol.md must match
 // common/wire.h), the fair scheduler, the query engine (equivalence with
 // one-shot RunBenu, cancel, admission control, plan cache) and the TCP
@@ -39,7 +39,7 @@ using service::ServiceClient;
 using service::ServiceConfig;
 using service::ServiceTcpServer;
 
-// --- wire v3 frames ---------------------------------------------------
+// --- service wire frames -----------------------------------------------
 
 wire::Frame MustDecode(const std::vector<uint8_t>& buf) {
   auto frame = wire::DecodeFrame(buf);
@@ -94,19 +94,20 @@ TEST(ServiceWireTest, CancelAndProgressRoundTrip) {
   EXPECT_EQ(*decoded, progress);
 }
 
-// A version-1/2 frame must not carry a version-3 service type; the same
-// old frame with a v1 type still decodes (compatibility is per-type, not
-// a flag-day).
-TEST(ServiceWireTest, ServiceTypesAreVersionGated) {
+// The protocol has one version: an older version byte is rejected for
+// service types and KV types alike.
+TEST(ServiceWireTest, OlderVersionsAreRejectedForEveryType) {
   std::vector<uint8_t> buf;
   wire::AppendCancelRequest(&buf);
   buf[4] = 2;  // header version byte
-  EXPECT_FALSE(wire::DecodeFrame(buf).ok());
+  EXPECT_EQ(wire::DecodeFrame(buf).status().code(),
+            StatusCode::kInvalidArgument);
 
   std::vector<uint8_t> hello;
   wire::AppendHelloRequest(&hello);
   hello[4] = 1;
-  EXPECT_TRUE(wire::DecodeFrame(hello).ok());
+  EXPECT_EQ(wire::DecodeFrame(hello).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ServiceWireTest, MalformedQueryPayloadsRejected) {
@@ -179,8 +180,6 @@ TEST(ServiceWireTest, WireProtocolDocMatchesConstants) {
   expect_value("kMagic", wire::kMagic);
   expect_value("kHeaderBytes", wire::kHeaderBytes);
   expect_value("kVersion", wire::kVersion);
-  expect_value("kMinVersion", wire::kMinVersion);
-  expect_value("kMinServiceVersion", wire::kMinServiceVersion);
   expect_value("kFlagEncodedPayload", wire::kFlagEncodedPayload);
   expect_value("kTagMask", wire::kTagMask);
   expect_value("kQueryRequest",
@@ -197,7 +196,6 @@ TEST(ServiceWireTest, WireProtocolDocMatchesConstants) {
   expect_value("kQueryResultCancelled", wire::kQueryResultCancelled);
   expect_value("kQueryResultPlanCacheHit", wire::kQueryResultPlanCacheHit);
   expect_value("kHelloSupportsQueries", wire::kHelloSupportsQueries);
-  expect_value("kHelloSupportsDeltas", wire::kHelloSupportsDeltas);
   expect_value("kQuerySubscribe", wire::kQuerySubscribe);
   expect_value("kApplyDelta",
                static_cast<uint64_t>(wire::MessageType::kApplyDelta));
@@ -849,7 +847,7 @@ TEST(ServiceServerTest, SubscribeOverTheWire) {
   auto server = StartServer(data, config);
   auto client = ServiceClient::Connect("127.0.0.1", server->port());
   ASSERT_TRUE(client.ok()) << client.status().ToString();
-  EXPECT_NE((*client)->hello().flags & wire::kHelloSupportsDeltas, 0u);
+  EXPECT_NE((*client)->hello().flags & wire::kHelloSupportsQueries, 0u);
   EXPECT_EQ((*client)->hello().epoch, 0u);
 
   std::mutex mu;

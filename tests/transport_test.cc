@@ -161,19 +161,18 @@ TEST(WireTest, EncodedAdjacencyReplyRoundTrips) {
   codec::DecodeAll(back, &decoded);
   EXPECT_EQ(decoded, adjacency);
 
-  // The untyped decoder materializes encoded frames transparently, so a
-  // client that never asks for encoding still survives receiving one.
+  // The raw decoder refuses encoded frames: callers dispatch on
+  // FrameIsEncoded instead of relying on a silent materialization.
   VertexSet via_raw_path;
   st = wire::DecodeAdjacencyReply(*frame, &key, &via_raw_path);
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  EXPECT_EQ(via_raw_path, adjacency);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
 }
 
-// --- mixed-version interop --------------------------------------------
+// --- compression choice -------------------------------------------------
 
 TEST(WireTest, RawClientAgainstEncodingServerGetsRawReplies) {
-  // A legacy client never sets the encoded-request flag; an
-  // encoding-capable server must answer it with plain raw frames.
+  // A client that does not set the encoded-request flag gets plain raw
+  // frames from an encoding-capable server.
   Graph g = MakeCycle(8);
   KvPartitionServer server(&g, 1, 1, 0, 0, 1, /*support_encoding=*/true);
   std::vector<uint8_t> request, reply;
@@ -207,24 +206,29 @@ TEST(WireTest, EncodingClientAgainstRawServerDegradesToRaw) {
   EXPECT_EQ(out, (VertexSet{2, 4}));
 }
 
-TEST(WireTest, VersionOneFramesStillDecode) {
-  // Version-2 peers must keep decoding version-1 frames (kMinVersion):
-  // a request stamped with the old version is served normally.
+TEST(WireTest, RejectsEveryVersionButCurrent) {
+  // One wire version: a frame stamped with any other version byte fails
+  // to decode, and the server answers it with a kError that echoes the
+  // request's tag.
   Graph g = MakeCycle(8);
   KvPartitionServer server(&g, 1, 1, 0);
-  std::vector<uint8_t> request, reply;
-  wire::AppendGetRequest(5, &request);
-  request[4] = 1;  // downgrade the version byte to the legacy protocol
-  auto frame = wire::DecodeFrame(request);
-  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-  server.HandleFrame(request, &reply);
-  auto reply_frame = wire::DecodeFrame(reply);
-  ASSERT_TRUE(reply_frame.ok()) << reply_frame.status().ToString();
-  VertexId key;
-  VertexSet out;
-  ASSERT_TRUE(wire::DecodeAdjacencyReply(*reply_frame, &key, &out).ok());
-  EXPECT_EQ(key, 5u);
-  EXPECT_EQ(out, (VertexSet{4, 6}));
+  for (const uint8_t version : {uint8_t{1}, uint8_t{2}, uint8_t{4}}) {
+    SCOPED_TRACE(static_cast<int>(version));
+    std::vector<uint8_t> request, reply;
+    wire::AppendGetRequest(5, &request);
+    wire::SetFrameTag(request, 0x1234);
+    request[4] = version;
+    auto frame = wire::DecodeFrame(request);
+    ASSERT_FALSE(frame.ok());
+    EXPECT_EQ(frame.status().code(), StatusCode::kInvalidArgument);
+
+    server.HandleFrame(request, &reply);
+    auto reply_frame = wire::DecodeFrame(reply);
+    ASSERT_TRUE(reply_frame.ok()) << reply_frame.status().ToString();
+    EXPECT_EQ(reply_frame->header.type, wire::MessageType::kError);
+    EXPECT_EQ(wire::FrameTag(reply), 0x1234);
+    EXPECT_EQ(reply_frame->frame_bytes, reply.size());
+  }
 }
 
 // --- partition server -------------------------------------------------
@@ -762,7 +766,17 @@ TEST(WireTest, ServerEchoesRequestTagOnEveryReplyFrame) {
   EXPECT_EQ(frames, 3);
 }
 
-TEST(WireTest, HelloCarriesReplicaFieldsAndAcceptsLegacyPayload) {
+// A kHelloReply frame whose payload is `bytes` long (a run of u32 words).
+std::vector<uint8_t> HelloReplyWithPayload(uint32_t bytes) {
+  std::vector<uint8_t> buffer;
+  wire::AppendHeader(wire::MessageType::kHelloReply, 0, bytes, &buffer);
+  for (uint32_t i = 0; i < bytes; ++i) {
+    buffer.push_back(i % 4 == 0 ? static_cast<uint8_t>(i / 4 + 1) : 0);
+  }
+  return buffer;
+}
+
+TEST(WireTest, HelloCarriesReplicaFieldsAndRejectsOtherSizes) {
   std::vector<uint8_t> buffer;
   wire::HelloInfo info{100, 8, 2, 1, /*replica_index=*/2,
                        /*num_replicas=*/3};
@@ -774,23 +788,20 @@ TEST(WireTest, HelloCarriesReplicaFieldsAndAcceptsLegacyPayload) {
   EXPECT_EQ(hello->replica_index, 2u);
   EXPECT_EQ(hello->num_replicas, 3u);
 
-  // A legacy 16-byte hello payload (pre-replica protocol) still decodes,
-  // defaulting to replica 0 of 1.
-  std::vector<uint8_t> legacy;
-  wire::AppendHeader(wire::MessageType::kHelloReply, 0, 16, &legacy);
-  for (uint32_t word : {100u, 8u, 2u, 1u}) {
-    for (int b = 0; b < 4; ++b) {
-      legacy.push_back(static_cast<uint8_t>(word >> (8 * b)));
-    }
+  // The hello payload is exactly 40 bytes; shorter layouts and longer
+  // ones are rejected, not defaulted.
+  for (const uint32_t bytes : {16u, 24u, 32u, 48u}) {
+    SCOPED_TRACE(bytes);
+    const std::vector<uint8_t> other = HelloReplyWithPayload(bytes);
+    frame = wire::DecodeFrame(other);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    EXPECT_EQ(wire::DecodeHelloReply(*frame).status().code(),
+              StatusCode::kInvalidArgument);
   }
-  frame = wire::DecodeFrame(legacy);
+  const std::vector<uint8_t> exact = HelloReplyWithPayload(40);
+  frame = wire::DecodeFrame(exact);
   ASSERT_TRUE(frame.ok());
-  hello = wire::DecodeHelloReply(*frame);
-  ASSERT_TRUE(hello.ok()) << hello.status().ToString();
-  EXPECT_EQ(hello->num_vertices, 100u);
-  EXPECT_EQ(hello->server_index, 1u);
-  EXPECT_EQ(hello->replica_index, 0u);
-  EXPECT_EQ(hello->num_replicas, 1u);
+  EXPECT_TRUE(wire::DecodeHelloReply(*frame).ok());
 }
 
 // --- versioned-store (delta) frames -----------------------------------
@@ -833,9 +844,9 @@ TEST(WireTest, DeltaFramesRoundTrip) {
   EXPECT_EQ(*ack, 5u);
 }
 
-TEST(WireTest, HelloCarriesEpochAndAcceptsPreDeltaPayloads) {
+TEST(WireTest, HelloCarriesEpochAndRejectsPreEpochPayloads) {
   wire::HelloInfo info{100, 8, 2, 1, 0, 1,
-                       wire::kHelloSupportsDeltas, 0xabcd1234u, 9};
+                       wire::kHelloSupportsEncoded, 0xabcd1234u, 9};
   std::vector<uint8_t> buffer;
   wire::AppendHelloReply(info, &buffer);
   auto frame = wire::DecodeFrame(buffer);
@@ -843,22 +854,15 @@ TEST(WireTest, HelloCarriesEpochAndAcceptsPreDeltaPayloads) {
   auto hello = wire::DecodeHelloReply(*frame);
   ASSERT_TRUE(hello.ok());
   EXPECT_EQ(hello->epoch, 9u);
-  EXPECT_NE(hello->flags & wire::kHelloSupportsDeltas, 0u);
-
-  // A 32-byte (v2, pre-delta) hello payload still decodes: epoch 0.
-  std::vector<uint8_t> legacy;
-  wire::AppendHeader(wire::MessageType::kHelloReply, 0, 32, &legacy);
-  for (uint32_t word : {100u, 8u, 2u, 1u, 0u, 1u, 0u, 0xabcd1234u}) {
-    for (int b = 0; b < 4; ++b) {
-      legacy.push_back(static_cast<uint8_t>(word >> (8 * b)));
-    }
-  }
-  frame = wire::DecodeFrame(legacy);
-  ASSERT_TRUE(frame.ok());
-  hello = wire::DecodeHelloReply(*frame);
-  ASSERT_TRUE(hello.ok()) << hello.status().ToString();
-  EXPECT_EQ(hello->epoch, 0u);
+  EXPECT_EQ(hello->flags, wire::kHelloSupportsEncoded);
   EXPECT_EQ(hello->graph_hash, 0xabcd1234u);
+
+  // A 32-byte hello (no epoch word) is rejected, not read as epoch 0.
+  const std::vector<uint8_t> no_epoch = HelloReplyWithPayload(32);
+  frame = wire::DecodeFrame(no_epoch);
+  ASSERT_TRUE(frame.ok());
+  EXPECT_EQ(wire::DecodeHelloReply(*frame).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(KvPartitionServerTest, DeltaFramesValidateEpochSequence) {
@@ -907,32 +911,6 @@ TEST(KvPartitionServerTest, DeltaFramesValidateEpochSequence) {
   auto hello = wire::DecodeHelloReply(*frame);
   ASSERT_TRUE(hello.ok());
   EXPECT_EQ(hello->epoch, 1u);
-  EXPECT_NE(hello->flags & wire::kHelloSupportsDeltas, 0u);
-}
-
-TEST(KvPartitionServerTest, PreDeltaServerRejectsDeltaFrames) {
-  Graph g = std::move(Graph::FromEdges(4, {{0, 1}})).value();
-  KvPartitionServer server(&g, 2, 1, 0, /*replica_index=*/0,
-                           /*num_replicas=*/1, /*support_encoding=*/true,
-                           /*support_deltas=*/false);
-  std::vector<uint8_t> request, reply;
-  wire::AppendHelloRequest(&request);
-  server.HandleFrame(request, &reply);
-  auto frame = wire::DecodeFrame(reply);
-  ASSERT_TRUE(frame.ok());
-  auto hello = wire::DecodeHelloReply(*frame);
-  ASSERT_TRUE(hello.ok());
-  EXPECT_EQ(hello->flags & wire::kHelloSupportsDeltas, 0u);
-
-  request.clear();
-  reply.clear();
-  wire::AppendEpochAdvance(1, &request);
-  server.HandleFrame(request, &reply);
-  frame = wire::DecodeFrame(reply);
-  ASSERT_TRUE(frame.ok());
-  EXPECT_EQ(frame->header.type, wire::MessageType::kError);
-  EXPECT_EQ(wire::DecodeError(*frame).code(),
-            StatusCode::kFailedPrecondition);
 }
 
 TEST(ParseReplicaGroupsTest, GoodAndBad) {
